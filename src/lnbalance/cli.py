@@ -7,6 +7,10 @@ state file.  Every command is deterministic under its seeds; a run
 manifest recording config, input hash and output names is written before
 the outputs so a bundle is self-describing.
 
+`simulate` evaluates the network once per metrics sample, and every
+sample reuses the cheapest-path trees built for the run's graph at the
+first one.  Evaluation is single-threaded; there is no `--threads` flag.
+
 Exit codes: 0 success, 2 usage, 3 input data error, 4 invariant violation.
 """
 
@@ -21,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .cycles import Strategy
-from .evaluation import cdf_points, evaluate_network, ks_distance
+from .evaluation import RouteCache, cdf_points, evaluate_network, ks_distance
 from .ingestion import (
     SnapshotError,
     allocate_funds_coinflip,
@@ -80,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="drop the sink-side condition on cycle ends")
     sim.add_argument("--no-verify", action="store_true",
                      help="skip per-operation invariant checks")
-    sim.add_argument("--threads", type=int, default=1)
     sim.add_argument("-o", "--outdir", required=True)
     sim.set_defaults(func=cmd_simulate)
 
@@ -91,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--sample-pairs", type=int, default=None,
                     help="approximate pair metrics from this many sampled pairs")
     ev.add_argument("--seed", type=int, default=0, help="seed for pair sampling")
-    ev.add_argument("--threads", type=int, default=1)
     ev.add_argument("-o", "--outdir", required=True)
     ev.set_defaults(func=cmd_evaluate)
 
@@ -165,13 +167,16 @@ def cmd_simulate(args) -> int:
     _write_json(outdir / "manifest.json", manifest)
     write_state(g, outdir / "initial_state.csv")
 
-    hooks = {
-        "success_rate": lambda snap: evaluate_network(snap, threads=args.threads).success_rate,
-        "median_payment_sat": lambda snap: float(
-            evaluate_network(snap, threads=args.threads).median_payment_sat
-        ),
-    }
-    result = run_simulation(g, config, hooks)
+    routes = RouteCache(g)
+
+    def sample(snap):
+        report = evaluate_network(snap, routes=routes)
+        return {
+            "success_rate": report.success_rate,
+            "median_payment_sat": float(report.median_payment_sat),
+        }
+
+    result = run_simulation(g, config, sample)
 
     write_state(result.graph, outdir / "final_state.csv")
     with open(outdir / "operations.jsonl", "w", encoding="utf-8", newline="\n") as fh:
@@ -223,7 +228,6 @@ def cmd_evaluate(args) -> int:
     report = evaluate_network(
         g,
         amount=args.amount,
-        threads=args.threads,
         sample_pairs=args.sample_pairs,
         seed=args.seed,
     )

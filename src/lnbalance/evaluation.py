@@ -6,14 +6,20 @@ checked against the true balances.  The bottleneck of a path is the
 largest amount it can forward on the first attempt; a blocked path
 bottlenecks at 0.  All pair statistics are over ordered pairs, since
 liquidity is directional.
+
+Route choice reads only the topology and the base fees, and a circular
+payment changes neither: it moves balances alone.  So the cheapest-path
+tree of each source stays valid for the whole of a simulation run, and a
+:class:`RouteCache` computes it once per graph.  Each later evaluation
+only reads the current balances down the cached trees.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +49,6 @@ class EvaluationReport:
     network_imbalance: float
     amount_sat: int = 1
     sampled_pairs: int | None = None
-    extras: dict[str, float] = field(default_factory=dict)
 
 
 # cost tuples are (fee, hops, node sequence, channel sequence); comparing the
@@ -91,58 +96,109 @@ def cheapest_path(g: NetworkGraph, source: int, target: int) -> PathQueryResult:
     return PathQueryResult(source, target, path, fee, _bottleneck_of(g, nodes, cids))
 
 
-def _bottlenecks_by_source(g: NetworkGraph, sources: Sequence[int], threads: int) -> dict[int, dict[int, int]]:
-    nodes = g.nodes()
-
-    def one(source: int) -> tuple[int, dict[int, int]]:
-        best = _single_source(g, source)
-        row = {}
-        for t in nodes:
-            if t == source:
-                continue
-            entry = best.get(t)
-            row[t] = 0 if entry is None else _bottleneck_of(g, entry[2], entry[3])
-        return source, row
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(one, sources))
-    else:
-        results = dict(one(s) for s in sources)
-    return results
+_UNBOUNDED = np.iinfo(np.int64).max
 
 
-def all_pairs_bottlenecks(g: NetworkGraph, threads: int = 1) -> list[int]:
-    """Bottlenecks of all ordered pairs, in (source, target) sorted order."""
-    nodes = g.nodes()
-    rows = _bottlenecks_by_source(g, nodes, threads)
-    return [rows[s][t] for s in nodes for t in nodes if t != s]
+class RouteCache:
+    """Cheapest-path trees of one graph, one per source, built on first use.
+
+    A source's tree lists every reachable target by hop count (fewest
+    first) with its predecessor on the cheapest path and the directed
+    channel side of the last hop, as int32 arrays.  The tie-break of
+    :func:`_single_source` makes every cheapest path extend the cheapest
+    path to its predecessor, so a target's bottleneck is the smaller of its
+    predecessor's bottleneck and the last hop's balance.
+
+    The trees hold only while the topology and the fees stay fixed, which
+    circular payments guarantee; build a new cache for any other change.
+    Using the cache with a graph other than the one it was made for raises
+    ``ValueError``.
+    """
+
+    def __init__(self, g: NetworkGraph):
+        self._graph = g
+        self._nodes = g.nodes()
+        self._index = {u: i for i, u in enumerate(self._nodes)}
+        # balance slots: 2k holds channel k's balance_a, 2k + 1 its balance_b
+        self._slot = {cid: 2 * k for k, cid in enumerate(g.channels)}
+        self._trees: dict[int, tuple[np.ndarray, list[int]]] = {}
+
+    def _tree(self, source: int) -> tuple[np.ndarray, list[int]]:
+        """(rows target / predecessor / balance slot, end of each hop level)."""
+        tree = self._trees.get(source)
+        if tree is None:
+            g, index = self._graph, self._index
+            hops = sorted(
+                (
+                    len(cids),
+                    index[nodes[-1]],
+                    index[nodes[-2]],
+                    self._slot[cids[-1]] + (nodes[-2] != g.channels[cids[-1]].node_a),
+                )
+                for _, _, nodes, cids in _single_source(g, source).values()
+                if cids
+            )
+            depths, *columns = zip(*hops) if hops else ((),) * 4
+            ends = [i for i in range(1, len(depths)) if depths[i] != depths[i - 1]]
+            tree = (np.array(columns, dtype=np.int32), ends + [len(depths)])
+            self._trees[source] = tree
+        return tree
+
+    def bottlenecks(self, g: NetworkGraph, pairs: Sequence[tuple[int, int]] | None = None) -> np.ndarray:
+        """Bottlenecks of `pairs` in the given order; all ordered pairs by default.
+
+        Each pair is (source, target) of two distinct nodes; all pairs come
+        in sorted order.  Only the trees of the sources that occur are built.
+        """
+        if g is not self._graph:
+            raise ValueError("route cache used with a graph it was not built for")
+        nodes, index = self._nodes, self._index
+        sources = nodes if pairs is None else sorted({s for s, _ in pairs})
+        balances = np.fromiter(
+            itertools.chain.from_iterable((ch.balance_a, ch.balance_b) for ch in g.channels.values()),
+            dtype=np.int64,
+            count=2 * len(g.channels),
+        )
+        rows = np.zeros((len(sources), len(nodes)), dtype=np.int64)
+        for row, source in zip(rows, sources):
+            tree, ends = self._tree(source)
+            row[index[source]] = _UNBOUNDED
+            start = 0
+            for end in ends:
+                targets, preds, slots = tree[:, start:end]
+                row[targets] = np.minimum(row[preds], balances[slots])
+                start = end
+        if pairs is None:
+            return rows[~np.eye(len(nodes), dtype=bool)]
+        row_of = {s: i for i, s in enumerate(sources)}
+        return rows[[row_of[s] for s, _ in pairs], [index[t] for _, t in pairs]]
 
 
-def success_rate(g: NetworkGraph, amount: int = 1, threads: int = 1) -> float:
+def _success_fraction(values: np.ndarray, amount: int) -> float:
+    return int(np.count_nonzero(values >= amount)) / values.size
+
+
+def success_rate(g: NetworkGraph, amount: int = 1) -> float:
     """Fraction of ordered pairs whose cheapest path can forward `amount`."""
     if amount < 1:
         raise ValueError("amount must be at least 1 satoshi")
-    values = all_pairs_bottlenecks(g, threads)
-    if not values:
+    if g.num_nodes() < 2:
         raise ValueError("success rate needs at least two nodes")
-    return sum(1 for v in values if v >= amount) / len(values)
+    return _success_fraction(RouteCache(g).bottlenecks(g), amount)
 
 
-def _lower_median(values: Sequence[int]) -> int:
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
+def _lower_median(ordered: np.ndarray) -> int:
+    return ordered[(ordered.size - 1) // 2].item()
 
 
-def median_payment_size(g: NetworkGraph, threads: int = 1) -> int:
+def median_payment_size(g: NetworkGraph) -> int:
     """Median feasible first-attempt payment over ordered pairs.
 
     Blocked pairs count as 0; an even count takes the lower middle value.
     """
-    values = all_pairs_bottlenecks(g, threads)
-    if not values:
+    if g.num_nodes() < 2:
         raise ValueError("median payment size needs at least two nodes")
-    return _lower_median(values)
+    return _lower_median(np.sort(RouteCache(g).bottlenecks(g)))
 
 
 def ks_distance(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
@@ -165,17 +221,14 @@ def gini_distribution(g: NetworkGraph) -> list[float]:
     return [node_gini(g, u) for u in nodes]
 
 
-def cdf_points(values: Sequence[int]) -> list[tuple[int, float]]:
+def cdf_points(values: Sequence[float]) -> list[tuple[float, float]]:
     """(value, cumulative fraction) at each distinct value, ascending."""
-    n = len(values)
+    ordered = np.sort(np.asarray(values))
+    n = ordered.size
     if n == 0:
         return []
-    points = []
-    ordered = sorted(values)
-    for i, v in enumerate(ordered, start=1):
-        if i == n or ordered[i] != v:
-            points.append((v, i / n))
-    return points
+    ends = np.flatnonzero(ordered[1:] != ordered[:-1]).tolist() + [n - 1]
+    return [(v, (i + 1) / n) for v, i in zip(ordered[ends].tolist(), ends)]
 
 
 def _sample_ordered_pairs(nodes: Sequence[int], k: int, seed: int | None) -> list[tuple[int, int]]:
@@ -194,35 +247,40 @@ def _sample_ordered_pairs(nodes: Sequence[int], k: int, seed: int | None) -> lis
 def evaluate_network(
     g: NetworkGraph,
     amount: int = 1,
-    threads: int = 1,
+    *,
     sample_pairs: int | None = None,
     seed: int | None = None,
+    routes: RouteCache | None = None,
 ) -> EvaluationReport:
     """Compute the full metric set of one snapshot.
 
     With `sample_pairs` the pair statistics use a seeded uniform sample of
     ordered pairs instead of all of them (approximate, for large graphs);
-    the report notes the sample size.
+    the report notes the sample size.  Pass the same `routes` to every
+    evaluation of one graph so its cheapest-path trees are built once; by
+    default a fresh cache is made for this call alone.
     """
     if amount < 1:
         raise ValueError("amount must be at least 1 satoshi")
     nodes = g.nodes()
     if len(nodes) < 2:
         raise ValueError("evaluation needs at least two nodes")
+    if routes is None:
+        routes = RouteCache(g)
     if sample_pairs is None:
-        bottlenecks = all_pairs_bottlenecks(g, threads)
+        bottlenecks = routes.bottlenecks(g)
         sampled = None
     else:
         if sample_pairs < 1:
             raise ValueError("sample_pairs must be at least 1")
         pairs = _sample_ordered_pairs(nodes, sample_pairs, seed)
-        rows = _bottlenecks_by_source(g, sorted({s for s, _ in pairs}), threads)
-        bottlenecks = [rows[s][t] for s, t in pairs]
+        bottlenecks = routes.bottlenecks(g, pairs)
         sampled = len(pairs)
+    ordered = np.sort(bottlenecks)
     return EvaluationReport(
-        success_rate=sum(1 for v in bottlenecks if v >= amount) / len(bottlenecks),
-        median_payment_sat=_lower_median(bottlenecks),
-        payment_size_cdf=cdf_points(bottlenecks),
+        success_rate=_success_fraction(ordered, amount),
+        median_payment_sat=_lower_median(ordered),
+        payment_size_cdf=cdf_points(ordered),
         gini_values=gini_distribution(g),
         network_imbalance=network_imbalance(g),
         amount_sat=amount,

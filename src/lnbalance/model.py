@@ -280,7 +280,8 @@ def gini(values: Sequence[float]) -> float:
     acc = 0.0
     for i, v in enumerate(sorted(values), start=1):
         acc += (2 * i - n - 1) * v
-    return acc / (n * total)
+    # the exact value is never negative; equal values can round to -1e-17
+    return acc / (n * total) if acc > 0 else 0.0
 
 
 def node_gini(g: NetworkGraph, u: int) -> float:

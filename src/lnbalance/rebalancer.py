@@ -101,7 +101,7 @@ class OperationRecord:
 
 @dataclass(frozen=True)
 class MetricsSample:
-    """Snapshot of progress: executed operations, imbalance, hook outputs."""
+    """Snapshot of progress: executed operations, imbalance, sampler outputs."""
 
     ops_count: int
     imbalance: float
@@ -386,7 +386,7 @@ class _VerifyWatch:
 def run_simulation(
     g: NetworkGraph,
     config: SimulationConfig,
-    eval_hooks: Mapping[str, Callable[[NetworkGraph], float]] | None = None,
+    sampler: Callable[[NetworkGraph], Mapping[str, float]] | None = None,
 ) -> SimulationResult:
     """Run seeded sweeps of the greedy heuristic until no progress is made.
 
@@ -395,22 +395,22 @@ def run_simulation(
     random candidate channel and works through its cycle candidates in
     seeded-shuffled order until one executes.  Terminates after a sweep
     with zero executed operations or at `max_operations`.  Whenever the
-    network imbalance first falls below a new 0.01 grid value the eval
-    hooks run and a sample is recorded.  Mutates `g` in place and is fully
-    deterministic in (g, config).
+    network imbalance first falls below a new 0.01 grid value, `sampler`
+    is called once on the graph and a sample records its metrics, sorted
+    by name.  Mutates `g` in place and is fully deterministic in
+    (g, config).
     """
     rng = random.Random(config.seed)
     nodes = g.nodes()
     if not nodes:
         raise ValueError("cannot simulate an empty graph")
-    hooks = dict(eval_hooks) if eval_hooks else {}
     totals = _TotalsCache(g)
     ledger = FeeLedger()
     ginis = {u: node_gini(g, u) for u in nodes}
     imbalance = sum(ginis.values()) / len(nodes)
 
     def take_sample(ops_count: int) -> MetricsSample:
-        metrics = {name: fn(g) for name, fn in sorted(hooks.items())}
+        metrics = dict(sorted(sampler(g).items())) if sampler is not None else {}
         return MetricsSample(ops_count, imbalance, metrics)
 
     operations: list[OperationRecord] = []

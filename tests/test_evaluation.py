@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lnbalance.cycles import Strategy, enumerate_cycles
 from lnbalance.evaluation import (
-    all_pairs_bottlenecks,
+    RouteCache,
+    _sample_ordered_pairs,
     cdf_points,
     cheapest_path,
     evaluate_network,
@@ -16,7 +18,7 @@ from lnbalance.evaluation import (
     success_rate,
 )
 from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic
-from lnbalance.model import Channel, NetworkGraph
+from lnbalance.model import Channel, NetworkGraph, apply_circular_payment, network_imbalance
 
 
 def make_graph(specs):
@@ -149,7 +151,7 @@ class TestSuccessRate:
     def test_internal_consistency_with_bottlenecks(self):
         records = generate_synthetic(20, 2, (100, 10_000), seed=5)
         g = allocate_funds_coinflip(records, seed=5)
-        values = all_pairs_bottlenecks(g)
+        values = RouteCache(g).bottlenecks(g).tolist()
         assert success_rate(g, 1) == 1 - sum(1 for v in values if v == 0) / len(values)
 
 
@@ -242,7 +244,69 @@ class TestEvaluateNetwork:
         assert a.success_rate == b.success_rate
         assert a.sampled_pairs == 50
 
-    def test_threads_do_not_change_results(self):
-        records = generate_synthetic(25, 2, (100, 10_000), seed=6)
-        g = allocate_funds_coinflip(records, seed=6)
-        assert evaluate_network(g, threads=1) == evaluate_network(g, threads=4)
+
+def reference_report(g, pairs, amount, sampled):
+    """Report built pair by pair from `cheapest_path`, with plain Python statistics."""
+    values = sorted(cheapest_path(g, s, t).bottleneck for s, t in pairs)
+    return {
+        "success_rate": sum(1 for v in values if v >= amount) / len(values),
+        "median_payment_sat": values[(len(values) - 1) // 2],
+        "payment_size_cdf": [
+            (v, i / len(values))
+            for i, v in enumerate(values, start=1)
+            if i == len(values) or values[i] != v
+        ],
+        "gini_values": gini_distribution(g),
+        "network_imbalance": network_imbalance(g),
+        "amount_sat": amount,
+        "sampled_pairs": sampled,
+    }
+
+
+class TestRouteCache:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_matches_pairwise_reference_across_payments(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(3, 7)
+        specs = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                for _ in range(rng.choice([0, 1, 1, 2])):
+                    cap = rng.randint(2, 50)
+                    specs.append((i, j, cap, rng.randint(0, cap), rng.choice([0, 500, 1000, 2500])))
+        if not specs:
+            specs = [(0, 1, 10, 5, 0)]
+        g = make_graph(specs)
+        nodes = g.nodes()
+        if len(nodes) < 2:
+            return
+        routes = RouteCache(g)
+        all_pairs = [(s, t) for s in nodes for t in nodes if t != s]
+        for _ in range(6):
+            amount = rng.randint(1, 20)
+            full = evaluate_network(g, amount, routes=routes)
+            assert vars(full) == reference_report(g, all_pairs, amount, None)
+            k, sample_seed = rng.randint(1, len(all_pairs)), rng.randint(0, 99)
+            sampled = evaluate_network(g, amount, sample_pairs=k, seed=sample_seed, routes=routes)
+            pairs = _sample_ordered_pairs(nodes, k, sample_seed)
+            assert vars(sampled) == reference_report(g, pairs, amount, len(pairs))
+            # one random executable circular payment moves balances, not routes
+            u = rng.choice(nodes)
+            cid = rng.choice(g.incident(u))[0]
+            cycles = enumerate_cycles(g, u, cid, Strategy.CYCLE5, 50)
+            if not cycles:
+                continue
+            cycle = rng.choice(cycles)
+            room = min(g.channels[c].balance(sender) for sender, _, c in cycle.hops)
+            if room >= 1:
+                apply_circular_payment(g, cycle, rng.randint(1, room))
+
+    def test_other_graph_is_rejected(self):
+        g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)])
+        routes = RouteCache(g)
+        evaluate_network(g, routes=routes)
+        with pytest.raises(ValueError):
+            evaluate_network(g.copy(), routes=routes)
+        with pytest.raises(ValueError):
+            routes.bottlenecks(make_graph([(0, 1, 10, 5)]))

@@ -280,12 +280,13 @@ class TestRunSimulation:
         g = skewed_triangle()
         calls = []
 
-        def hook(snapshot):
+        def sampler(snapshot):
             calls.append(network_imbalance(snapshot))
-            return float(len(calls))
+            return {"probe": float(len(calls)), "another": 0.0}
 
-        res = run_simulation(g, config(), eval_hooks={"probe": hook})
+        res = run_simulation(g, config(), sampler)
         assert all("probe" in s.metrics for s in res.samples)
+        assert all(list(s.metrics) == ["another", "probe"] for s in res.samples)
         assert len(calls) == len(res.samples)
 
     def test_fee_ledger_zero_sum_after_run(self):
