@@ -124,18 +124,21 @@ def cmd_gen(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = SimulationConfig(
-        seed=args.seed,
-        strategy=Strategy(args.strategy),
-        cycle_cap=args.cycle_cap,
-        agreement_mode=args.agreement,
-        require_sink_condition=not args.relax_sink,
-        mpp_divisor=args.mpp_divisor,
-        min_amount=args.min_amount,
-        max_operations=args.max_operations,
-        convergence_epsilon=args.epsilon,
-        verify=not args.no_verify,
-    )
+    try:
+        config = SimulationConfig(
+            seed=args.seed,
+            strategy=Strategy(args.strategy),
+            cycle_cap=args.cycle_cap,
+            agreement_mode=args.agreement,
+            require_sink_condition=not args.relax_sink,
+            mpp_divisor=args.mpp_divisor,
+            min_amount=args.min_amount,
+            max_operations=args.max_operations,
+            convergence_epsilon=args.epsilon,
+            verify=not args.no_verify,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     records = load_snapshot(args.input)
     if not records:
         print(f"error: {args.input}: empty snapshot", file=sys.stderr)
@@ -224,6 +227,8 @@ def cmd_simulate(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.amount < 1:
         raise UsageError("--amount must be at least 1")
+    if args.sample_pairs is not None and args.sample_pairs < 1:
+        raise UsageError("--sample-pairs must be at least 1")
     g = load_state(args.input)
     report = evaluate_network(
         g,

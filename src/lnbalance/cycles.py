@@ -64,7 +64,6 @@ def enumerate_cycles(
     cid: int,
     strategy: Strategy,
     cap: int,
-    foaf_max_len: int = DEFAULT_FOAF_MAX_LEN,
 ) -> list[RebalanceCycle]:
     """Simple cycles starting with the hop initiator->peer on channel `cid`.
 
@@ -79,7 +78,7 @@ def enumerate_cycles(
         raise ValueError(f"node {initiator} is not an endpoint of channel {cid}")
     if strategy.foaf_restricted:
         allowed = foaf_node_set(g, initiator)
-        max_len = foaf_max_len
+        max_len = DEFAULT_FOAF_MAX_LEN
     else:
         allowed = None
         max_len = 4 if strategy is Strategy.CYCLE4 else 5

@@ -70,24 +70,20 @@ def _record_from_fields(fields: Sequence[str]) -> SnapshotRecord:
     )
 
 
-def load_snapshot(path: str | Path, fmt: str | None = None) -> list[SnapshotRecord]:
+def load_snapshot(path: str | Path) -> list[SnapshotRecord]:
     """Read snapshot records in file order; duplicates stay parallel channels.
 
-    `fmt` is ``"csv"`` or ``"jsonl"``; by default it is inferred from the
-    file suffix (``.jsonl``/``.json`` means JSONL, anything else CSV).
-    Malformed rows raise :class:`SnapshotError` naming the line number.
+    The format follows the file suffix: ``.jsonl``/``.json`` means JSONL,
+    anything else CSV.  Malformed rows raise :class:`SnapshotError`
+    naming the line number.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "jsonl" if path.suffix.lower() in (".jsonl", ".json") else "csv"
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"unknown snapshot format {fmt!r}")
     text = path.read_text(encoding="utf-8")
     if not text.strip():
         return []
-    if fmt == "csv":
-        return _load_csv(text, path)
-    return _load_jsonl(text, path)
+    if path.suffix.lower() in (".jsonl", ".json"):
+        return _load_jsonl(text, path)
+    return _load_csv(text, path)
 
 
 def _load_csv(text: str, path: Path) -> list[SnapshotRecord]:

@@ -175,14 +175,6 @@ class NetworkGraph:
             extra_nodes=extra,
         )
 
-    def check_conservation(self) -> None:
-        for ch in self.channels.values():
-            if ch.balance_a + ch.balance_b != ch.capacity:
-                raise InvariantViolation(
-                    f"channel {ch.cid}: balances {ch.balance_a}+{ch.balance_b} "
-                    f"!= capacity {ch.capacity}"
-                )
-
 
 @dataclass(frozen=True)
 class RebalanceCycle:
@@ -257,11 +249,6 @@ def node_balance_coefficient(g: NetworkGraph, u: int) -> float:
     if kappa == 0:
         raise ValueError(f"node {u} has no channels")
     return tau / kappa
-
-
-def coefficient_vector(g: NetworkGraph, u: int) -> list[tuple[int, float]]:
-    """(channel id, balance coefficient) per incident channel, by channel id."""
-    return [(cid, g.channels[cid].zeta(u)) for cid, _ in g.incident(u)]
 
 
 def gini(values: Sequence[float]) -> float:

@@ -8,6 +8,14 @@ and declines (caps at zero) when it would.  Decision arithmetic is exact
 integer math on balances and capacities, so floors match the rational
 definitions and runs are bit-for-bit reproducible.
 
+Each rule has one implementation: `candidate_channels`,
+`desired_amount`, `check_sink_condition` and `max_agreeable_amount`.
+The simulation kernel `attempt_rebalance` and the unit tests call these
+same functions; `_VerifyWatch` re-checks their outcome independently
+after every executed operation.  The rules take a node's (tau, kappa)
+from `node_totals` as an argument, because circular payments never
+change either total and the simulation computes them once per run.
+
 Routing fees are tracked in a hypothetical ledger only: forwarding nodes
 are credited what they would have charged and the initiator is debited,
 but no fee ever moves channel balances.
@@ -81,9 +89,6 @@ class FeeLedger:
     def net(self, node: int) -> int:
         return self._net.get(node, 0)
 
-    def items(self) -> list[tuple[int, int]]:
-        return sorted(self._net.items())
-
     def total(self) -> int:
         return sum(self._net.values())
 
@@ -116,29 +121,34 @@ class SimulationResult:
     samples: list[MetricsSample]
 
 
-def candidate_channels(g: NetworkGraph, u: int) -> set[int]:
-    """Channels where u's balance coefficient exceeds its node coefficient.
+def candidate_channels(g: NetworkGraph, u: int, totals: tuple[int, int]) -> list[int]:
+    """Channels, in id order, where u's balance coefficient exceeds its node coefficient.
 
-    Exact test: b * kappa > tau * c avoids float rounding at the boundary.
+    `totals` is u's (tau, kappa) from `node_totals`.  Exact test:
+    b * kappa > tau * c avoids float rounding at the boundary.
     """
-    tau, kappa = node_totals(g, u)
+    tau, kappa = totals
     if kappa == 0:
         raise ValueError(f"node {u} has no channels")
-    out = set()
+    out = []
     for cid, _ in g.incident(u):
         ch = g.channels[cid]
         if ch.balance(u) * kappa > tau * ch.capacity:
-            out.add(cid)
+            out.append(cid)
     return out
 
 
-def desired_amount(g: NetworkGraph, u: int, cid: int, divisor: int = 1) -> int:
+def desired_amount(
+    g: NetworkGraph, u: int, cid: int, totals: tuple[int, int], divisor: int = 1
+) -> int:
     """floor(c * (zeta - nu)) for u on `cid`; the proposed rebalance size.
 
-    `divisor` > 1 splits the amount for multi-path style rebalancing.
-    A result of 0 means the channel is skipped.
+    `totals` is u's (tau, kappa) from `node_totals`.  `divisor` > 1
+    splits the amount for multi-path style rebalancing.  A result of 0
+    means the channel is skipped.  The result never exceeds u's balance
+    on `cid`, since tau * c >= 0.
     """
-    tau, kappa = node_totals(g, u)
+    tau, kappa = totals
     if kappa == 0:
         raise ValueError(f"node {u} has no channels")
     ch = g.channel(cid)
@@ -213,13 +223,15 @@ def max_agreeable_amount(
     in_cid: int,
     out_cid: int,
     requested: int,
+    totals: tuple[int, int],
     mode: str = "band",
 ) -> int:
     """How much of `requested` node x agrees to forward; 0 declines.
 
-    Band mode lets both touched coefficients move toward x's node
-    coefficient without crossing it; gini mode accepts any amount that
-    does not increase x's Gini, preferring the largest.
+    `totals` is x's (tau, kappa) from `node_totals`.  Band mode lets both
+    touched coefficients move toward x's node coefficient without
+    crossing it; gini mode accepts any amount that does not increase x's
+    Gini, preferring the largest.  The result never exceeds `requested`.
     """
     if in_cid == out_cid:
         raise ValueError("in and out channel must differ")
@@ -230,24 +242,19 @@ def max_agreeable_amount(
     g.channel(in_cid).balance(x)
     if requested < 1:
         return 0
-    totals = node_totals(g, x)
     if mode == "band":
         return _band_bound(g, x, in_cid, out_cid, requested, totals)
     return _gini_bound(g, x, in_cid, out_cid, requested, totals)
 
 
-def check_sink_condition(g: NetworkGraph, u: int, last_cid: int, require: bool = True) -> bool:
+def check_sink_condition(g: NetworkGraph, u: int, last_cid: int, totals: tuple[int, int]) -> bool:
     """True iff the cycle may end on `last_cid`: zeta(u) < nu_u there.
 
-    With `require` False the criterion is waived (easier path finding at
-    the cost of small oscillations).
+    `totals` is u's (tau, kappa) from `node_totals`.
     """
-    if not require:
-        return True
     ch = g.channel(last_cid)
-    balance = ch.balance(u)
-    tau, kappa = node_totals(g, u)
-    return balance * kappa < tau * ch.capacity
+    tau, kappa = totals
+    return ch.balance(u) * kappa < tau * ch.capacity
 
 
 def record_fees(ledger: FeeLedger, g: NetworkGraph, cycle: RebalanceCycle, amount: int) -> None:
@@ -268,21 +275,6 @@ def record_fees(ledger: FeeLedger, g: NetworkGraph, cycle: RebalanceCycle, amoun
     ledger.debit(cycle.initiator, total)
 
 
-class _TotalsCache:
-    """Per-node (tau, kappa); both are invariant under circular payments."""
-
-    def __init__(self, g: NetworkGraph):
-        self._g = g
-        self._cache: dict[int, tuple[int, int]] = {}
-
-    def __getitem__(self, u: int) -> tuple[int, int]:
-        totals = self._cache.get(u)
-        if totals is None:
-            totals = node_totals(self._g, u)
-            self._cache[u] = totals
-        return totals
-
-
 def attempt_rebalance(
     g: NetworkGraph,
     u: int,
@@ -290,51 +282,31 @@ def attempt_rebalance(
     cycle: RebalanceCycle,
     config: SimulationConfig,
     ledger: FeeLedger,
+    totals: Mapping[int, tuple[int, int]],
 ) -> int | None:
     """Try one circular rebalance; returns the executed amount or None.
 
-    The initiator proposes its desired amount, every intermediate node
-    caps it by its agreement rule, the sink condition and the initiator's
-    own liquidity are checked, and only then is the payment applied
+    `totals` maps each cycle node to its (tau, kappa) from `node_totals`.
+    The sink condition is checked unless the config waives it (easier path
+    finding at the cost of small oscillations), the initiator proposes its
+    desired amount, and every intermediate node caps it by its agreement
+    rule.  The amount never exceeds the initiator's balance on `cid`,
+    because no rule raises it.  Only then is the payment applied
     atomically and its fees recorded.  Declines leave the state untouched.
     """
-    return _attempt(g, u, cid, cycle, config, ledger, _TotalsCache(g))
-
-
-def _attempt(
-    g: NetworkGraph,
-    u: int,
-    cid: int,
-    cycle: RebalanceCycle,
-    config: SimulationConfig,
-    ledger: FeeLedger,
-    totals: _TotalsCache,
-) -> int | None:
     hops = cycle.hops
     if hops[0][0] != u or hops[0][2] != cid:
         raise ValueError("cycle must start with the initiator's chosen channel")
-    tau_u, kappa_u = totals[u]
-    if config.require_sink_condition:
-        last = g.channels[hops[-1][2]]
-        if not (last.balance(u) * kappa_u < tau_u * last.capacity):
-            return None
-    first = g.channels[cid]
-    amount = (first.balance(u) * kappa_u - first.capacity * tau_u) // kappa_u
-    if config.strategy.splits_amount:
-        amount //= config.mpp_divisor
+    if config.require_sink_condition and not check_sink_condition(g, u, hops[-1][2], totals[u]):
+        return None
+    divisor = config.mpp_divisor if config.strategy.splits_amount else 1
+    amount = desired_amount(g, u, cid, totals[u], divisor)
     if amount < config.min_amount:
         return None
-    mode = config.agreement_mode
-    for i in range(1, len(hops)):
-        x = hops[i][0]
-        if mode == "band":
-            amount = _band_bound(g, x, hops[i - 1][2], hops[i][2], amount, totals[x])
-        else:
-            amount = _gini_bound(g, x, hops[i - 1][2], hops[i][2], amount, totals[x])
+    for (_, _, in_cid), (x, _, out_cid) in zip(hops, hops[1:]):
+        amount = max_agreeable_amount(g, x, in_cid, out_cid, amount, totals[x], config.agreement_mode)
         if amount < config.min_amount:
             return None
-    if first.balance(u) < amount:
-        return None
     watch = _VerifyWatch(g, cycle, config, totals) if config.verify else None
     apply_circular_payment(g, cycle, amount)
     if watch is not None:
@@ -404,7 +376,8 @@ def run_simulation(
     nodes = g.nodes()
     if not nodes:
         raise ValueError("cannot simulate an empty graph")
-    totals = _TotalsCache(g)
+    # circular payments never change a node's (tau, kappa)
+    totals = {u: node_totals(g, u) for u in nodes}
     ledger = FeeLedger()
     ginis = {u: node_gini(g, u) for u in nodes}
     imbalance = sum(ginis.values()) / len(nodes)
@@ -429,7 +402,7 @@ def run_simulation(
                 break
             if ginis[u] <= config.convergence_epsilon:
                 continue
-            candidates = sorted(candidate_channels(g, u))
+            candidates = candidate_channels(g, u, totals[u])
             if not candidates:
                 continue
             cid = rng.choice(candidates)
@@ -442,7 +415,7 @@ def run_simulation(
             indices = list(range(len(cyc)))
             rng.shuffle(indices)
             for i in indices:
-                amount = _attempt(g, u, cid, cyc[i], config, ledger, totals)
+                amount = attempt_rebalance(g, u, cid, cyc[i], config, ledger, totals)
                 if amount is None:
                     continue
                 ops += 1

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from lnbalance.cli import main
+from lnbalance.model import InvariantViolation
 
 # sha256 of simulate's outputs on the snapshot of `gen --nodes 40 --degree 3
 # --seed 7` with `--seed 7`, recorded with an evaluation that recomputed
@@ -70,6 +71,11 @@ def test_evaluate_matches_last_simulate_sample(snapshot, tmp_path, capsys):
     [
         ["gen", "--nodes", "5", "--degree", "0", "--seed", "1", "-o", "unused.csv"],
         ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--threads", "2"],
+        ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--cycle-cap", "0"],
+        ["simulate", "-i", "unused.csv", "--strategy", "mpp", "--seed", "1", "-o", "out", "--mpp-divisor", "0"],
+        ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--min-amount", "0"],
+        ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--max-operations", "-1"],
+        ["evaluate", "-i", "unused.csv", "-o", "out", "--sample-pairs", "0"],
     ],
 )
 def test_usage_error_exits_2(argv, capsys):
@@ -83,3 +89,22 @@ def test_empty_snapshot_exits_3(tmp_path, capsys):
     empty.write_text("", encoding="utf-8")
     assert simulate(empty, tmp_path / "bundle") == 3
     assert "empty snapshot" in capsys.readouterr().err
+
+
+def test_missing_input_exits_3_without_outdir(tmp_path, capsys):
+    assert simulate(tmp_path / "missing.csv", tmp_path / "bundle") == 3
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_evaluate_plain_snapshot_exits_3(snapshot, tmp_path, capsys):
+    assert main(["evaluate", "-i", str(snapshot), "-o", str(tmp_path / "eval")]) == 3
+    assert "needs balances" in capsys.readouterr().err
+
+
+def test_invariant_violation_exits_4(snapshot, tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("node 0 total funds changed")
+
+    monkeypatch.setattr("lnbalance.cli.run_simulation", broken)
+    assert simulate(snapshot, tmp_path / "bundle") == 4
+    assert "invariant violation: node 0 total funds changed" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from lnbalance.model import (
     RebalanceCycle,
     apply_circular_payment,
     channel_balance_coefficient,
-    coefficient_vector,
     gini,
     network_imbalance,
     node_balance_coefficient,
@@ -159,10 +158,6 @@ class TestNodeGini:
         with pytest.raises(ValueError):
             node_gini(g, 9)
 
-    def test_coefficient_vector_entries(self):
-        g = make_graph([(0, 1, 10, 8), (2, 0, 20, 15)])
-        assert coefficient_vector(g, 0) == [(0, 0.8), (1, 0.25)]
-
 
 class TestNetworkImbalance:
     def test_balanced_triangle(self):
@@ -232,7 +227,8 @@ class TestApplyCircularPayment:
     def test_capacity_conserved(self):
         g = triangle_balanced()
         apply_circular_payment(g, triangle_cycle(), 5)
-        g.check_conservation()
+        for ch in g.channels.values():
+            assert ch.balance_a + ch.balance_b == ch.capacity
 
     @given(st.integers(min_value=1, max_value=5))
     def test_reverse_restores_state(self, amount):
