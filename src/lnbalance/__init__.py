@@ -10,8 +10,6 @@ from .evaluation import (
     evaluate_network,
     gini_distribution,
     ks_distance,
-    median_payment_size,
-    success_rate,
 )
 from .ingestion import (
     SnapshotRecord,
@@ -28,9 +26,7 @@ from .model import (
     NetworkGraph,
     RebalanceCycle,
     apply_circular_payment,
-    channel_balance_coefficient,
     network_imbalance,
-    node_balance_coefficient,
     node_gini,
 )
 from .rebalancer import (
@@ -61,7 +57,6 @@ __all__ = [
     "apply_circular_payment",
     "attempt_rebalance",
     "candidate_channels",
-    "channel_balance_coefficient",
     "cheapest_path",
     "check_sink_condition",
     "desired_amount",
@@ -75,13 +70,10 @@ __all__ = [
     "load_snapshot",
     "load_state",
     "max_agreeable_amount",
-    "median_payment_size",
     "network_imbalance",
-    "node_balance_coefficient",
     "node_gini",
     "record_fees",
     "run_simulation",
-    "success_rate",
     "write_snapshot",
     "write_state",
 ]

@@ -3,9 +3,11 @@
 `gen` writes a synthetic snapshot CSV, `simulate` runs the full pipeline
 (allocate funds, keep the largest strongly connected component, rebalance)
 and writes a result bundle, `evaluate` computes payment metrics on any
-state file.  Every command is deterministic under its seeds; a run
-manifest recording config, input hash and output names is written before
-the outputs so a bundle is self-describing.
+state file.  Every command is deterministic under its seeds.  A
+`simulate` bundle holds a manifest (config, input hash, output names) and
+exactly the files it names.  It is built in a temporary sibling directory
+and renamed onto `--outdir` once every file is written, so it appears
+whole or not at all; an existing `--outdir` must be an empty directory.
 
 `simulate` evaluates the network once per metrics sample, and every
 sample reuses the cheapest-path trees built for the run's graph at the
@@ -18,9 +20,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -36,8 +42,8 @@ from .ingestion import (
     write_snapshot,
     write_state,
 )
-from .model import InvariantViolation, network_imbalance
-from .rebalancer import SimulationConfig, run_simulation
+from .model import InvariantViolation, NetworkGraph, network_imbalance
+from .rebalancer import SimulationConfig, SimulationResult, run_simulation
 
 SIMULATE_OUTPUTS = [
     "manifest.json",
@@ -82,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="node Gini below this counts as even enough")
     sim.add_argument("--relax-sink", action="store_true",
                      help="drop the sink-side condition on cycle ends")
-    sim.add_argument("--no-verify", action="store_true",
-                     help="skip per-operation invariant checks")
     sim.add_argument("-o", "--outdir", required=True)
     sim.set_defaults(func=cmd_simulate)
 
@@ -135,10 +139,12 @@ def cmd_simulate(args) -> int:
             min_amount=args.min_amount,
             max_operations=args.max_operations,
             convergence_epsilon=args.epsilon,
-            verify=not args.no_verify,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    outdir = Path(args.outdir)
+    if outdir.exists() and (not outdir.is_dir() or any(outdir.iterdir())):
+        raise UsageError(f"--outdir {outdir} exists and is not an empty directory")
     records = load_snapshot(args.input)
     if not records:
         print(f"error: {args.input}: empty snapshot", file=sys.stderr)
@@ -148,27 +154,39 @@ def cmd_simulate(args) -> int:
         print("error: no rebalancing possible (largest SCC is trivial)", file=sys.stderr)
         return EXIT_DATA
 
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    target = outdir.resolve()
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
+    try:
+        # a plain mkdir gives the bundle the usual permissions; mkdtemp's are 0700
+        bundle = staging / target.name
+        bundle.mkdir()
+        result = _write_bundle(bundle, args.input, config, g)
+        os.replace(bundle, target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+    final = network_imbalance(result.graph)
+    print(
+        f"executed {len(result.operations)} operations; "
+        f"imbalance {result.samples[0].imbalance:.4f} -> {final:.4f}; "
+        f"bundle in {outdir}"
+    )
+    return EXIT_OK
+
+
+def _write_bundle(
+    bundle: Path, input_path: str, config: SimulationConfig, g: NetworkGraph
+) -> SimulationResult:
+    """Run the simulation on `g` and write every file of its bundle into `bundle`."""
     manifest = {
         "code_version": __version__,
-        "config": {
-            "seed": config.seed,
-            "strategy": config.strategy.value,
-            "cycle_cap": config.cycle_cap,
-            "agreement_mode": config.agreement_mode,
-            "require_sink_condition": config.require_sink_condition,
-            "mpp_divisor": config.mpp_divisor,
-            "min_amount": config.min_amount,
-            "max_operations": config.max_operations,
-            "convergence_epsilon": config.convergence_epsilon,
-            "verify": config.verify,
-        },
-        "input": {"path": str(args.input), "sha256": _sha256(args.input)},
+        "config": {**dataclasses.asdict(config), "strategy": config.strategy.value},
+        "input": {"path": str(input_path), "sha256": _sha256(input_path)},
         "outputs": SIMULATE_OUTPUTS,
     }
-    _write_json(outdir / "manifest.json", manifest)
-    write_state(g, outdir / "initial_state.csv")
+    _write_json(bundle / "manifest.json", manifest)
+    write_state(g, bundle / "initial_state.csv")
 
     routes = RouteCache(g)
 
@@ -181,8 +199,8 @@ def cmd_simulate(args) -> int:
 
     result = run_simulation(g, config, sample)
 
-    write_state(result.graph, outdir / "final_state.csv")
-    with open(outdir / "operations.jsonl", "w", encoding="utf-8", newline="\n") as fh:
+    write_state(result.graph, bundle / "final_state.csv")
+    with open(bundle / "operations.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for op in result.operations:
             fh.write(
                 json.dumps(
@@ -197,7 +215,7 @@ def cmd_simulate(args) -> int:
                 )
                 + "\n"
             )
-    with open(outdir / "metrics.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with open(bundle / "metrics.csv", "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["ops_count", "imbalance", "success_rate", "median_payment_sat"])
         for sample in result.samples:
@@ -209,19 +227,12 @@ def cmd_simulate(args) -> int:
                     int(sample.metrics["median_payment_sat"]),
                 ]
             )
-    with open(outdir / "fees.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with open(bundle / "fees.csv", "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["node_id", "net_fee_msat"])
         for node in result.graph.nodes():
             writer.writerow([g.label(node), result.ledger.net(node)])
-
-    final = network_imbalance(result.graph)
-    print(
-        f"executed {len(result.operations)} operations; "
-        f"imbalance {result.samples[0].imbalance:.4f} -> {final:.4f}; "
-        f"bundle in {outdir}"
-    )
-    return EXIT_OK
+    return result
 
 
 def cmd_evaluate(args) -> int:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import NetworkGraph, network_imbalance, node_gini
+from .model import NetworkGraph, node_gini
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,12 @@ class PathQueryResult:
 
 @dataclass
 class EvaluationReport:
-    """All snapshot metrics behind the before/after comparisons."""
+    """All snapshot metrics behind the before/after comparisons.
+
+    `success_rate` is the fraction of ordered pairs whose cheapest path can
+    forward `amount_sat`.  `median_payment_sat` is the median bottleneck,
+    the lower middle value for an even count, with blocked pairs as 0.
+    """
 
     success_rate: float
     median_payment_sat: int
@@ -174,33 +179,6 @@ class RouteCache:
         return rows[[row_of[s] for s, _ in pairs], [index[t] for _, t in pairs]]
 
 
-def _success_fraction(values: np.ndarray, amount: int) -> float:
-    return int(np.count_nonzero(values >= amount)) / values.size
-
-
-def success_rate(g: NetworkGraph, amount: int = 1) -> float:
-    """Fraction of ordered pairs whose cheapest path can forward `amount`."""
-    if amount < 1:
-        raise ValueError("amount must be at least 1 satoshi")
-    if g.num_nodes() < 2:
-        raise ValueError("success rate needs at least two nodes")
-    return _success_fraction(RouteCache(g).bottlenecks(g), amount)
-
-
-def _lower_median(ordered: np.ndarray) -> int:
-    return ordered[(ordered.size - 1) // 2].item()
-
-
-def median_payment_size(g: NetworkGraph) -> int:
-    """Median feasible first-attempt payment over ordered pairs.
-
-    Blocked pairs count as 0; an even count takes the lower middle value.
-    """
-    if g.num_nodes() < 2:
-        raise ValueError("median payment size needs at least two nodes")
-    return _lower_median(np.sort(RouteCache(g).bottlenecks(g)))
-
-
 def ks_distance(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     """Two-sample Kolmogorov-Smirnov statistic: sup |ECDF_a - ECDF_b|."""
     if len(sample_a) == 0 or len(sample_b) == 0:
@@ -277,12 +255,13 @@ def evaluate_network(
         bottlenecks = routes.bottlenecks(g, pairs)
         sampled = len(pairs)
     ordered = np.sort(bottlenecks)
+    gini_values = gini_distribution(g)
     return EvaluationReport(
-        success_rate=_success_fraction(ordered, amount),
-        median_payment_sat=_lower_median(ordered),
+        success_rate=int(np.count_nonzero(ordered >= amount)) / ordered.size,
+        median_payment_sat=ordered[(ordered.size - 1) // 2].item(),
         payment_size_cdf=cdf_points(ordered),
-        gini_values=gini_distribution(g),
-        network_imbalance=network_imbalance(g),
+        gini_values=gini_values,
+        network_imbalance=sum(gini_values) / len(gini_values),
         amount_sat=amount,
         sampled_pairs=sampled,
     )

@@ -11,7 +11,7 @@ a cycle and therefore leaves every node's total funds unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
@@ -104,20 +104,17 @@ class NetworkGraph:
     """Node and channel store with adjacency; the single mutable world state.
 
     Node ids are small integers assigned at ingestion; `labels` keeps the
-    original string ids for reporting.  Channels are keyed by their id and
-    parallel channels between the same pair of nodes are kept distinct.
-    All balance mutation goes through :func:`apply_circular_payment`
-    (single-writer discipline; metric reads must not interleave with it).
+    original string ids for reporting.  The nodes are exactly the channel
+    endpoints, so every node has at least one channel.  Channels are keyed
+    by their id and parallel channels between the same pair of nodes are
+    kept distinct.  All balance mutation goes through
+    :func:`apply_circular_payment` (single-writer discipline; metric reads
+    must not interleave with it).
     """
 
-    def __init__(
-        self,
-        channels: Iterable[Channel],
-        labels: Mapping[int, str] | None = None,
-        extra_nodes: Iterable[int] = (),
-    ):
+    def __init__(self, channels: Iterable[Channel], labels: Mapping[int, str] | None = None):
         self.channels: dict[int, Channel] = {}
-        adjacency: dict[int, list[tuple[int, int]]] = {u: [] for u in extra_nodes}
+        adjacency: dict[int, list[tuple[int, int]]] = {}
         for ch in channels:
             if ch.cid in self.channels:
                 raise ValueError(f"duplicate channel id {ch.cid}")
@@ -167,14 +164,6 @@ class NetworkGraph:
     def label(self, node: int) -> str:
         return self.labels[node]
 
-    def copy(self) -> "NetworkGraph":
-        extra = [u for u, entries in self.adjacency.items() if not entries]
-        return NetworkGraph(
-            (replace(ch) for ch in self.channels.values()),
-            labels=dict(self.labels),
-            extra_nodes=extra,
-        )
-
 
 @dataclass(frozen=True)
 class RebalanceCycle:
@@ -218,19 +207,6 @@ class RebalanceCycle:
     def channel_ids(self) -> tuple[int, ...]:
         return tuple(cid for _, _, cid in self.hops)
 
-    def reversed(self) -> "RebalanceCycle":
-        """Same cycle walked in the opposite direction."""
-        hops = tuple((r, s, cid) for s, r, cid in reversed(self.hops))
-        return RebalanceCycle(self.initiator, hops)
-
-
-def channel_balance_coefficient(g: NetworkGraph, cid: int, side: int) -> float:
-    """Relative funds of `side` on the channel: balance / capacity."""
-    ch = g.channel(cid)
-    if not ch.is_endpoint(side):
-        raise ValueError(f"node {side} is not an endpoint of channel {cid}")
-    return ch.balance(side) / ch.capacity
-
 
 def node_totals(g: NetworkGraph, u: int) -> tuple[int, int]:
     """Total funds and total incident capacity of `u`, as exact integers."""
@@ -241,14 +217,6 @@ def node_totals(g: NetworkGraph, u: int) -> tuple[int, int]:
         tau += ch.balance(u)
         kappa += ch.capacity
     return tau, kappa
-
-
-def node_balance_coefficient(g: NetworkGraph, u: int) -> float:
-    """Total funds of `u` divided by its total incident capacity."""
-    tau, kappa = node_totals(g, u)
-    if kappa == 0:
-        raise ValueError(f"node {u} has no channels")
-    return tau / kappa
 
 
 def gini(values: Sequence[float]) -> float:
@@ -273,10 +241,7 @@ def gini(values: Sequence[float]) -> float:
 
 def node_gini(g: NetworkGraph, u: int) -> float:
     """Gini coefficient of `u`'s channel balance coefficients; 0 means even."""
-    entries = g.incident(u)
-    if not entries:
-        raise ValueError(f"node {u} has no channels")
-    return gini([g.channels[cid].zeta(u) for cid, _ in entries])
+    return gini([g.channels[cid].zeta(u) for cid, _ in g.incident(u)])
 
 
 def network_imbalance(g: NetworkGraph) -> float:

@@ -55,7 +55,6 @@ class SimulationConfig:
     min_amount: int = 1
     max_operations: int = 1_000_000
     convergence_epsilon: float = 0.01
-    verify: bool = True
 
     def __post_init__(self):
         if isinstance(self.strategy, str):
@@ -77,14 +76,12 @@ class FeeLedger:
 
     def __init__(self):
         self._net: dict[int, int] = {}
-        self.paid_msat = 0
 
     def credit(self, node: int, msat: int) -> None:
         self._net[node] = self._net.get(node, 0) + msat
 
     def debit(self, node: int, msat: int) -> None:
         self._net[node] = self._net.get(node, 0) - msat
-        self.paid_msat += msat
 
     def net(self, node: int) -> int:
         return self._net.get(node, 0)
@@ -128,8 +125,6 @@ def candidate_channels(g: NetworkGraph, u: int, totals: tuple[int, int]) -> list
     b * kappa > tau * c avoids float rounding at the boundary.
     """
     tau, kappa = totals
-    if kappa == 0:
-        raise ValueError(f"node {u} has no channels")
     out = []
     for cid, _ in g.incident(u):
         ch = g.channels[cid]
@@ -149,8 +144,6 @@ def desired_amount(
     on `cid`, since tau * c >= 0.
     """
     tau, kappa = totals
-    if kappa == 0:
-        raise ValueError(f"node {u} has no channels")
     ch = g.channel(cid)
     amount = (ch.balance(u) * kappa - ch.capacity * tau) // kappa
     if divisor > 1:
@@ -307,12 +300,11 @@ def attempt_rebalance(
         amount = max_agreeable_amount(g, x, in_cid, out_cid, amount, totals[x], config.agreement_mode)
         if amount < config.min_amount:
             return None
-    watch = _VerifyWatch(g, cycle, config, totals) if config.verify else None
+    watch = _VerifyWatch(g, cycle, config, totals)
     apply_circular_payment(g, cycle, amount)
-    if watch is not None:
-        watch.check_after(amount)
+    watch.check_after(amount)
     record_fees(ledger, g, cycle, amount)
-    if config.verify and ledger.total() != 0:
+    if ledger.total() != 0:
         raise InvariantViolation("fee ledger lost zero-sum")
     return amount
 

@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lnbalance
 from lnbalance.cli import main
 from lnbalance.model import InvariantViolation
+from lnbalance.rebalancer import SimulationConfig
 
 # sha256 of simulate's outputs on the snapshot of `gen --nodes 40 --degree 3
 # --seed 7` with `--seed 7`, recorded with an evaluation that recomputed
@@ -51,8 +57,29 @@ def test_simulate_bundle_is_complete_and_golden(snapshot, tmp_path, strategy):
 
 def test_simulate_rerun_is_byte_identical(snapshot, tmp_path):
     assert simulate(snapshot, tmp_path / "a") == 0
+    (tmp_path / "b").mkdir()  # an existing empty outdir is replaced by the bundle
     assert simulate(snapshot, tmp_path / "b") == 0
     assert digests(tmp_path / "a") == digests(tmp_path / "b")
+
+
+def test_manifest_config_round_trips(snapshot, tmp_path):
+    # every simulate flag off its default
+    argv = ["simulate", "-i", str(snapshot), "-o", str(tmp_path / "bundle"), "--strategy", "mpp",
+            "--seed", "3", "--cycle-cap", "100", "--agreement", "gini", "--relax-sink",
+            "--mpp-divisor", "7", "--min-amount", "3", "--max-operations", "5", "--epsilon", "0.02"]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text(encoding="utf-8"))
+    assert SimulationConfig(**manifest["config"]) == SimulationConfig(
+        seed=3,
+        strategy="mpp",
+        cycle_cap=100,
+        agreement_mode="gini",
+        require_sink_condition=False,
+        mpp_divisor=7,
+        min_amount=3,
+        max_operations=5,
+        convergence_epsilon=0.02,
+    )
 
 
 def test_evaluate_matches_last_simulate_sample(snapshot, tmp_path, capsys):
@@ -76,6 +103,10 @@ def test_evaluate_matches_last_simulate_sample(snapshot, tmp_path, capsys):
         ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--min-amount", "0"],
         ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--max-operations", "-1"],
         ["evaluate", "-i", "unused.csv", "-o", "out", "--sample-pairs", "0"],
+        ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--no-verify"],
+        ["gen", "--nodes", "3", "--degree", "3", "--seed", "1", "-o", "unused.csv"],
+        ["gen", "--nodes", "5", "--degree", "2", "--cap-min", "0", "--seed", "1", "-o", "unused.csv"],
+        ["gen", "--nodes", "5", "--degree", "2", "--cap-min", "50", "--cap-max", "10", "--seed", "1", "-o", "unused.csv"],
     ],
 )
 def test_usage_error_exits_2(argv, capsys):
@@ -96,6 +127,36 @@ def test_missing_input_exits_3_without_outdir(tmp_path, capsys):
     assert not (tmp_path / "bundle").exists()
 
 
+def test_nonempty_outdir_exits_2_and_is_kept(tmp_path, capsys):
+    outdir = tmp_path / "bundle"
+    outdir.mkdir()
+    (outdir / "keep.txt").write_text("mine\n", encoding="utf-8")
+    # the input does not exist either: the outdir is checked before it is read
+    with pytest.raises(SystemExit) as exc:
+        simulate(tmp_path / "missing.csv", outdir)
+    assert exc.value.code == 2
+    assert [p.name for p in outdir.iterdir()] == ["keep.txt"]
+    assert (outdir / "keep.txt").read_text(encoding="utf-8") == "mine\n"
+
+
+def test_gen_into_missing_directory_exits_3(tmp_path, capsys):
+    out = tmp_path / "missing" / "snap.csv"
+    assert main(["gen", "--nodes", "5", "--degree", "2", "--seed", "1", "-o", str(out)]) == 3
+    assert not (tmp_path / "missing").exists()
+
+
+def test_module_entry_point_passes_exit_code(tmp_path):
+    """`python -m lnbalance` exits with the code `main` returns."""
+    src = str(Path(lnbalance.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "lnbalance", "simulate", "-i", str(tmp_path / "missing.csv"),
+            "--strategy", "cycle4", "--seed", "1", "-o", str(tmp_path / "bundle")]
+    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert not (tmp_path / "bundle").exists()
+
+
 def test_evaluate_plain_snapshot_exits_3(snapshot, tmp_path, capsys):
     assert main(["evaluate", "-i", str(snapshot), "-o", str(tmp_path / "eval")]) == 3
     assert "needs balances" in capsys.readouterr().err
@@ -108,3 +169,5 @@ def test_invariant_violation_exits_4(snapshot, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("lnbalance.cli.run_simulation", broken)
     assert simulate(snapshot, tmp_path / "bundle") == 4
     assert "invariant violation: node 0 total funds changed" in capsys.readouterr().err
+    # neither the bundle nor its staging directory is left behind
+    assert list(tmp_path.iterdir()) == []

@@ -8,12 +8,12 @@ from lnbalance.cycles import Strategy, enumerate_cycles, foaf_node_set
 from lnbalance.model import Channel, NetworkGraph
 
 
-def graph_from_edges(edges, extra_nodes=()):
+def graph_from_edges(edges):
     channels = [
         Channel(cid=i, node_a=a, node_b=b, capacity=10, balance_a=5, balance_b=5)
         for i, (a, b) in enumerate(edges)
     ]
-    return NetworkGraph(channels, extra_nodes=extra_nodes)
+    return NetworkGraph(channels)
 
 
 def triangle():
@@ -107,10 +107,6 @@ class TestFoafNodeSet:
     def test_path_distance_two(self):
         g = graph_from_edges([(0, 1), (1, 2), (2, 3)])
         assert foaf_node_set(g, 0) == {0, 1, 2}
-
-    def test_isolated_node(self):
-        g = graph_from_edges([(0, 1)], extra_nodes=[7])
-        assert foaf_node_set(g, 7) == {7}
 
     def test_unknown_node(self):
         with pytest.raises(KeyError):

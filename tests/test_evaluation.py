@@ -14,8 +14,6 @@ from lnbalance.evaluation import (
     evaluate_network,
     gini_distribution,
     ks_distance,
-    median_payment_size,
-    success_rate,
 )
 from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic
 from lnbalance.model import Channel, NetworkGraph, apply_circular_payment, network_imbalance
@@ -131,42 +129,42 @@ class TestCheapestPath:
 class TestSuccessRate:
     def test_fully_balanced_is_one(self):
         g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)])
-        assert success_rate(g, 1) == 1.0
+        assert evaluate_network(g, 1).success_rate == 1.0
 
     def test_one_sided_two_node_graph(self):
         g = make_graph([(0, 1, 10, 10)])
-        assert success_rate(g, 1) == 0.5  # only the funded direction works
+        assert evaluate_network(g, 1).success_rate == 0.5  # only the funded direction works
 
     def test_respects_amount(self):
         g = make_graph([(0, 1, 10, 7)])
-        assert success_rate(g, 7) == 0.5
-        assert success_rate(g, 8) == 0.0
+        assert evaluate_network(g, 7).success_rate == 0.5
+        assert evaluate_network(g, 8).success_rate == 0.0
 
     def test_monotone_in_amount(self):
         records = generate_synthetic(25, 2, (100, 10_000), seed=3)
         g = allocate_funds_coinflip(records, seed=3)
-        rates = [success_rate(g, m) for m in (1, 10, 100, 1000)]
+        rates = [evaluate_network(g, m).success_rate for m in (1, 10, 100, 1000)]
         assert rates == sorted(rates, reverse=True)
 
     def test_internal_consistency_with_bottlenecks(self):
         records = generate_synthetic(20, 2, (100, 10_000), seed=5)
         g = allocate_funds_coinflip(records, seed=5)
         values = RouteCache(g).bottlenecks(g).tolist()
-        assert success_rate(g, 1) == 1 - sum(1 for v in values if v == 0) / len(values)
+        assert evaluate_network(g, 1).success_rate == 1 - sum(1 for v in values if v == 0) / len(values)
 
 
 class TestMedianPaymentSize:
     def test_all_blocked_is_zero(self):
         g = make_graph([(0, 1, 10, 0), (1, 2, 10, 0)])
-        assert median_payment_size(g) == 0
+        assert evaluate_network(g).median_payment_sat == 0
 
     def test_two_node_lower_middle(self):
         g = make_graph([(0, 1, 10, 10)])
-        assert median_payment_size(g) == 0  # bottlenecks {10, 0} take the lower middle
+        assert evaluate_network(g).median_payment_sat == 0  # bottlenecks {10, 0} take the lower middle
 
     def test_balanced_triangle(self):
         g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)])
-        assert median_payment_size(g) == 5
+        assert evaluate_network(g).median_payment_sat == 5
 
 
 class TestKsDistance:
@@ -226,8 +224,9 @@ class TestEvaluateNetwork:
         records = generate_synthetic(20, 2, (100, 10_000), seed=2)
         g = allocate_funds_coinflip(records, seed=2)
         report = evaluate_network(g)
-        assert report.success_rate == success_rate(g, 1)
-        assert report.median_payment_sat == median_payment_size(g)
+        values = sorted(RouteCache(g).bottlenecks(g).tolist())
+        assert report.success_rate == sum(1 for v in values if v >= 1) / len(values)
+        assert report.median_payment_sat == values[(len(values) - 1) // 2]
         assert report.gini_values == gini_distribution(g)
         assert report.payment_size_cdf[-1][1] == 1.0
         assert report.sampled_pairs is None
@@ -303,10 +302,12 @@ class TestRouteCache:
                 apply_circular_payment(g, cycle, rng.randint(1, room))
 
     def test_other_graph_is_rejected(self):
-        g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)])
+        specs = [(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)]
+        g = make_graph(specs)
         routes = RouteCache(g)
         evaluate_network(g, routes=routes)
+        # an equal graph is still another graph
         with pytest.raises(ValueError):
-            evaluate_network(g.copy(), routes=routes)
+            evaluate_network(make_graph(specs), routes=routes)
         with pytest.raises(ValueError):
             routes.bottlenecks(make_graph([(0, 1, 10, 5)]))

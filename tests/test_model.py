@@ -10,22 +10,20 @@ from lnbalance.model import (
     NetworkGraph,
     RebalanceCycle,
     apply_circular_payment,
-    channel_balance_coefficient,
     gini,
     network_imbalance,
-    node_balance_coefficient,
     node_gini,
     node_totals,
 )
 
 
-def make_graph(specs, **kwargs):
+def make_graph(specs):
     """specs: (node_a, node_b, capacity, balance_a) per channel."""
     channels = [
         Channel(cid=i, node_a=a, node_b=b, capacity=cap, balance_a=bal, balance_b=cap - bal)
         for i, (a, b, cap, bal) in enumerate(specs)
     ]
-    return NetworkGraph(channels, **kwargs)
+    return NetworkGraph(channels)
 
 
 def gini_double_sum(values):
@@ -62,50 +60,49 @@ class TestChannel:
 
 
 class TestBalanceCoefficient:
+    """The channel balance coefficient zeta, as `Channel.zeta` computes it."""
+
     def test_direct_ratio(self):
         g = make_graph([(0, 1, 10, 8)])
-        assert channel_balance_coefficient(g, 0, 0) == 0.8
+        assert g.channel(0).zeta(0) == 0.8
 
     def test_zero_balance(self):
         g = make_graph([(0, 1, 10, 10)])
-        assert channel_balance_coefficient(g, 0, 1) == 0.0
+        assert g.channel(0).zeta(1) == 0.0
 
     def test_unknown_channel(self):
         g = make_graph([(0, 1, 10, 8)])
         with pytest.raises(KeyError):
-            channel_balance_coefficient(g, 5, 0)
+            g.channel(5)
 
     def test_non_endpoint(self):
         g = make_graph([(0, 1, 10, 8), (1, 2, 10, 4)])
         with pytest.raises(ValueError):
-            channel_balance_coefficient(g, 0, 2)
+            g.channel(0).zeta(2)
 
     @given(st.integers(min_value=1, max_value=2**32), st.data())
     def test_sides_complement_to_one(self, capacity, data):
         balance = data.draw(st.integers(min_value=0, max_value=capacity))
         g = make_graph([(0, 1, capacity, balance)])
-        za = channel_balance_coefficient(g, 0, 0)
-        zb = channel_balance_coefficient(g, 0, 1)
+        za = g.channel(0).zeta(0)
+        zb = g.channel(0).zeta(1)
         assert za + zb == 1.0
 
 
 class TestNodeBalanceCoefficient:
+    """The node coefficient nu = tau / kappa, as the exact `node_totals`."""
+
     def test_single_channel(self):
         g = make_graph([(0, 1, 10, 8)])
-        assert node_balance_coefficient(g, 0) == 0.8
+        assert node_totals(g, 0) == (8, 10)
 
     def test_two_channels_half(self):
         g = make_graph([(0, 1, 10, 10), (0, 2, 10, 0)])
-        assert node_balance_coefficient(g, 0) == 0.5
+        assert node_totals(g, 0) == (10, 20)
 
     def test_uneven_capacities(self):
         g = make_graph([(0, 1, 100, 100), (0, 2, 10, 0)])
-        assert abs(node_balance_coefficient(g, 0) - 100 / 110) < 1e-12
-
-    def test_no_channels_is_error(self):
-        g = make_graph([(0, 1, 10, 5)], extra_nodes=[7])
-        with pytest.raises(ValueError):
-            node_balance_coefficient(g, 7)
+        assert node_totals(g, 0) == (100, 110)
 
     def test_totals_are_exact(self):
         g = make_graph([(0, 1, 100, 37), (0, 2, 11, 4)])
@@ -153,11 +150,6 @@ class TestNodeGini:
         g = make_graph([(0, 1, 10, 9)])
         assert node_gini(g, 0) == 0.0
 
-    def test_no_channels_is_error(self):
-        g = make_graph([(0, 1, 10, 5)], extra_nodes=[9])
-        with pytest.raises(ValueError):
-            node_gini(g, 9)
-
 
 class TestNetworkImbalance:
     def test_balanced_triangle(self):
@@ -195,11 +187,6 @@ class TestRebalanceCycle:
         with pytest.raises(ValueError):
             RebalanceCycle(0, ((0, 1, 0), (2, 0, 1)))
 
-    def test_reversed_roundtrip(self):
-        cycle = triangle_cycle()
-        assert cycle.reversed().reversed() == cycle
-        assert cycle.reversed().nodes == (0, 2, 1)
-
 
 class TestApplyCircularPayment:
     def test_triangle_example(self):
@@ -234,9 +221,9 @@ class TestApplyCircularPayment:
     def test_reverse_restores_state(self, amount):
         g = triangle_balanced()
         before = [(ch.balance_a, ch.balance_b) for ch in g.channels.values()]
-        cycle = triangle_cycle()
-        apply_circular_payment(g, cycle, amount)
-        apply_circular_payment(g, cycle.reversed(), amount)
+        apply_circular_payment(g, triangle_cycle(), amount)
+        # the same triangle walked the other way round
+        apply_circular_payment(g, RebalanceCycle(0, ((0, 2, 2), (2, 1, 1), (1, 0, 0))), amount)
         assert [(ch.balance_a, ch.balance_b) for ch in g.channels.values()] == before
 
     def test_wrong_receiver_rejected(self):
@@ -260,14 +247,7 @@ class TestGraphBasics:
         g = make_graph([(0, 1, 10, 10), (0, 1, 20, 0)])
         assert g.num_channels() == 2
         assert [cid for cid, _ in g.incident(0)] == [0, 1]
-        assert abs(node_balance_coefficient(g, 0) - 10 / 30) < 1e-12
-
-    def test_copy_is_independent(self):
-        g = triangle_balanced()
-        h = g.copy()
-        apply_circular_payment(g, triangle_cycle(), 2)
-        assert h.channels[0].balance_a == 5
-        assert g.channels[0].balance_a == 3
+        assert node_totals(g, 0) == (10, 30)
 
     def test_nodes_sorted(self):
         g = make_graph([(5, 3, 10, 5), (3, 1, 10, 5)])

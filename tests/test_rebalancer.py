@@ -11,7 +11,6 @@ from lnbalance.model import (
     NetworkGraph,
     RebalanceCycle,
     network_imbalance,
-    node_balance_coefficient,
     node_gini,
     node_totals,
 )
@@ -174,7 +173,6 @@ class TestRecordFees:
         assert ledger.net(1) == 1050  # 1000 base + 50,000,000 msat * 1 ppm
         assert ledger.net(0) == -1050
         assert ledger.total() == 0
-        assert ledger.paid_msat == 1050
 
     def test_fee_parameters_respected(self):
         g = make_graph([(0, 1, 1000, 1000, 0, 0), (1, 2, 1000, 1000, 500, 100), (2, 0, 1000, 0, 21, 10**6)])
@@ -306,7 +304,7 @@ class TestRunSimulation:
         g = largest_scc(allocate_funds_coinflip(records, seed=3))
         res = run_simulation(g, config(seed=3, strategy=Strategy.CYCLE5))
         assert res.ledger.total() == 0
-        assert res.ledger.paid_msat > 0
+        assert any(res.ledger.net(op.initiator) < 0 for op in res.operations)
 
     def test_operation_amounts_respect_min(self):
         from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic, largest_scc
@@ -322,7 +320,7 @@ class TestRunSimulation:
         records = generate_synthetic(30, 2, (10_000, 100_000), seed=6)
         g = largest_scc(allocate_funds_coinflip(records, seed=6))
         res = run_simulation(g, config(seed=6, strategy=Strategy.FOAF, agreement_mode="gini"))
-        # verify=True asserts per-op that no intermediate's Gini increased
+        # _VerifyWatch asserts per op that no intermediate's Gini increased
         assert res.ledger.total() == 0
 
 
