@@ -42,7 +42,7 @@ from .ingestion import (
     write_snapshot,
     write_state,
 )
-from .model import InvariantViolation, NetworkGraph, network_imbalance
+from .model import InvariantViolation, NetworkGraph
 from .rebalancer import SimulationConfig, SimulationResult, run_simulation
 
 SIMULATE_OUTPUTS = [
@@ -166,10 +166,9 @@ def cmd_simulate(args) -> int:
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
-    final = network_imbalance(result.graph)
     print(
         f"executed {len(result.operations)} operations; "
-        f"imbalance {result.samples[0].imbalance:.4f} -> {final:.4f}; "
+        f"imbalance {result.samples[0].imbalance:.4f} -> {result.samples[-1].imbalance:.4f}; "
         f"bundle in {outdir}"
     )
     return EXIT_OK
@@ -192,10 +191,7 @@ def _write_bundle(
 
     def sample(snap):
         report = evaluate_network(snap, routes=routes)
-        return {
-            "success_rate": report.success_rate,
-            "median_payment_sat": float(report.median_payment_sat),
-        }
+        return report.success_rate, report.median_payment_sat
 
     result = run_simulation(g, config, sample)
 
@@ -219,13 +215,9 @@ def _write_bundle(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["ops_count", "imbalance", "success_rate", "median_payment_sat"])
         for sample in result.samples:
+            success_rate, median_payment_sat = sample.metrics
             writer.writerow(
-                [
-                    sample.ops_count,
-                    repr(sample.imbalance),
-                    repr(sample.metrics["success_rate"]),
-                    int(sample.metrics["median_payment_sat"]),
-                ]
+                [sample.ops_count, repr(sample.imbalance), repr(success_rate), median_payment_sat]
             )
     with open(bundle / "fees.csv", "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -303,7 +295,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

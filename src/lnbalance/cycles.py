@@ -6,7 +6,7 @@ to drain and returns to the initiator through distinct nodes and channels.
 ``foaf`` (and ``mpp``, which shares its cycle set and only splits amounts)
 searches up to 6 hops but stays inside the initiator's friend-of-a-friend
 node set.  Enumeration is a pure read of the topology: shortest cycles
-first, lexicographic within a length, so truncating at a cap is
+first, lexicographic by hop within a length, so truncating at a cap is
 reproducible.
 """
 
@@ -67,9 +67,11 @@ def enumerate_cycles(
 ) -> list[RebalanceCycle]:
     """Simple cycles starting with the hop initiator->peer on channel `cid`.
 
-    Returns at most `cap` cycles, shortest first and lexicographic by node
-    sequence (then channel ids) within each length.  Length counts hops;
-    two-hop cycles exist only through parallel channels.
+    Returns at most `cap` cycles, shortest first.  Within each length
+    the order is lexicographic by hop: at each hop by (next node, channel
+    id), so with parallel channels the channel taken at an earlier hop
+    outranks the nodes reached later.  Length counts hops; two-hop cycles
+    exist only through parallel channels.
     """
     if cap < 1:
         raise ValueError("cycle cap must be at least 1")
@@ -103,7 +105,7 @@ def _collect_exact_length(
     out: list[RebalanceCycle],
     cap: int,
 ) -> None:
-    """Append all cycles of exactly `length` hops in lexicographic order."""
+    """Append all cycles of exactly `length` hops, lexicographic by hop."""
     if dist.get(v, length + 1) > length - 1:
         return
     path = [initiator, v]

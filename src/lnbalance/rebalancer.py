@@ -11,10 +11,12 @@ definitions and runs are bit-for-bit reproducible.
 Each rule has one implementation: `candidate_channels`,
 `desired_amount`, `check_sink_condition` and `max_agreeable_amount`.
 The simulation kernel `attempt_rebalance` and the unit tests call these
-same functions; `_VerifyWatch` re-checks their outcome independently
+same functions; `_check_executed` re-checks their outcome independently
 after every executed operation.  The rules take a node's (tau, kappa)
 from `node_totals` as an argument, because circular payments never
-change either total and the simulation computes them once per run.
+change either total and the simulation computes them once per run; the
+check compares each node's totals after the payment with the ones the
+rules used.
 
 Routing fees are tracked in a hypothetical ledger only: forwarding nodes
 are credited what they would have charged and the initiator is debited,
@@ -25,8 +27,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 from .cycles import Strategy, enumerate_cycles
 from .model import (
@@ -103,11 +105,11 @@ class OperationRecord:
 
 @dataclass(frozen=True)
 class MetricsSample:
-    """Snapshot of progress: executed operations, imbalance, sampler outputs."""
+    """Snapshot of progress: executed operations, imbalance, sampler output."""
 
     ops_count: int
     imbalance: float
-    metrics: dict[str, float] = field(default_factory=dict)
+    metrics: Any = None
 
 
 @dataclass
@@ -154,18 +156,15 @@ def desired_amount(
 def _band_bound(
     g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: int, totals: tuple[int, int]
 ) -> int:
-    """Largest amount x forwards while both coefficients move toward nu_x."""
+    """Largest amount x forwards while both coefficients move toward nu_x.
+
+    That is x's desired amount on the out channel, capped by what the in
+    channel can receive before its coefficient reaches nu_x.
+    """
     tau, kappa = totals
-    out_ch = g.channels[out_cid]
     in_ch = g.channels[in_cid]
-    b_out = out_ch.balance(x)
-    bound = min(
-        requested,
-        b_out,
-        (b_out * kappa - out_ch.capacity * tau) // kappa,
-        (in_ch.capacity * tau - in_ch.balance(x) * kappa) // kappa,
-    )
-    return max(bound, 0)
+    receivable = (in_ch.capacity * tau - in_ch.balance(x) * kappa) // kappa
+    return max(min(requested, desired_amount(g, x, out_cid, totals), receivable), 0)
 
 
 def _gini_after_shift(g: NetworkGraph, x: int, in_cid: int, out_cid: int, amount: int) -> float:
@@ -181,10 +180,12 @@ def _gini_after_shift(g: NetworkGraph, x: int, in_cid: int, out_cid: int, amount
     return gini(zetas)
 
 
-def _gini_bound(
-    g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: int, totals: tuple[int, int]
-) -> int:
-    """Largest amount (found by bounded search) that does not raise x's Gini."""
+def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: int) -> int:
+    """Largest amount (found by bisection) that does not raise x's Gini.
+
+    The amounts that do not raise it form an interval starting at 0: the
+    Gini numerator is convex in the amount and its denominator affine.
+    """
     out_ch = g.channels[out_cid]
     in_ch = g.channels[in_cid]
     # receivable headroom caps the hypothetical shift at a sane coefficient
@@ -198,9 +199,7 @@ def _gini_bound(
 
     if feasible(bound):
         return bound
-    band = min(_band_bound(g, x, in_cid, out_cid, requested, totals), bound)
-    lo = band if band >= 1 and feasible(band) else 0
-    hi = bound - 1
+    lo, hi = 0, bound - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if feasible(mid):
@@ -237,7 +236,7 @@ def max_agreeable_amount(
         return 0
     if mode == "band":
         return _band_bound(g, x, in_cid, out_cid, requested, totals)
-    return _gini_bound(g, x, in_cid, out_cid, requested, totals)
+    return _gini_bound(g, x, in_cid, out_cid, requested)
 
 
 def check_sink_condition(g: NetworkGraph, u: int, last_cid: int, totals: tuple[int, int]) -> bool:
@@ -270,8 +269,6 @@ def record_fees(ledger: FeeLedger, g: NetworkGraph, cycle: RebalanceCycle, amoun
 
 def attempt_rebalance(
     g: NetworkGraph,
-    u: int,
-    cid: int,
     cycle: RebalanceCycle,
     config: SimulationConfig,
     ledger: FeeLedger,
@@ -279,17 +276,17 @@ def attempt_rebalance(
 ) -> int | None:
     """Try one circular rebalance; returns the executed amount or None.
 
-    `totals` maps each cycle node to its (tau, kappa) from `node_totals`.
-    The sink condition is checked unless the config waives it (easier path
-    finding at the cost of small oscillations), the initiator proposes its
-    desired amount, and every intermediate node caps it by its agreement
-    rule.  The amount never exceeds the initiator's balance on `cid`,
-    because no rule raises it.  Only then is the payment applied
-    atomically and its fees recorded.  Declines leave the state untouched.
+    The initiator u drains its channel on the cycle's first hop.  `totals`
+    maps each cycle node to its (tau, kappa) from `node_totals`.  The sink
+    condition is checked unless the config waives it (easier path finding
+    at the cost of small oscillations), u proposes its desired amount, and
+    every intermediate node caps it by its agreement rule.  The amount
+    never exceeds u's balance on the first hop, because no rule raises it.
+    Only then is the payment applied atomically, checked, and its fees
+    recorded.  Declines leave the state untouched.
     """
     hops = cycle.hops
-    if hops[0][0] != u or hops[0][2] != cid:
-        raise ValueError("cycle must start with the initiator's chosen channel")
+    u, _, cid = hops[0]
     if config.require_sink_condition and not check_sink_condition(g, u, hops[-1][2], totals[u]):
         return None
     divisor = config.mpp_divisor if config.strategy.splits_amount else 1
@@ -300,57 +297,54 @@ def attempt_rebalance(
         amount = max_agreeable_amount(g, x, in_cid, out_cid, amount, totals[x], config.agreement_mode)
         if amount < config.min_amount:
             return None
-    watch = _VerifyWatch(g, cycle, config, totals)
+    gini_before = None
+    if config.agreement_mode == "gini":
+        gini_before = {x: node_gini(g, x) for x in cycle.nodes[1:]}
     apply_circular_payment(g, cycle, amount)
-    watch.check_after(amount)
+    _check_executed(g, hops, totals, gini_before)
     record_fees(ledger, g, cycle, amount)
     if ledger.total() != 0:
         raise InvariantViolation("fee ledger lost zero-sum")
     return amount
 
 
-class _VerifyWatch:
-    """Pre/post assertions around one executed operation."""
+def _check_executed(
+    g: NetworkGraph,
+    hops: tuple[tuple[int, int, int], ...],
+    totals: Mapping[int, tuple[int, int]],
+    gini_before: Mapping[int, float] | None,
+) -> None:
+    """Post-conditions of one executed payment; raises InvariantViolation.
 
-    def __init__(self, g, cycle, config, totals):
-        self.g = g
-        self.cycle = cycle
-        self.config = config
-        self.totals = totals
-        self.tau_before = {x: node_totals(g, x)[0] for x in cycle.nodes}
-        if config.agreement_mode == "gini":
-            self.gini_before = {x: node_gini(g, x) for x in cycle.nodes[1:]}
-
-    def check_after(self, amount: int) -> None:
-        g, cycle = self.g, self.cycle
-        for _, _, cid in cycle.hops:
-            ch = g.channels[cid]
-            if ch.balance_a + ch.balance_b != ch.capacity:
-                raise InvariantViolation(f"channel {cid} lost capacity conservation")
-        for x in cycle.nodes:
-            if node_totals(g, x)[0] != self.tau_before[x]:
-                raise InvariantViolation(f"node {x} total funds changed")
-        hops = cycle.hops
-        for i in range(1, len(hops)):
-            x = hops[i][0]
-            tau, kappa = self.totals[x]
-            if self.config.agreement_mode == "band":
-                out_ch = g.channels[hops[i][2]]
-                in_ch = g.channels[hops[i - 1][2]]
-                # moved toward nu without crossing it, on both channels
-                if out_ch.balance(x) * kappa < tau * out_ch.capacity:
-                    raise InvariantViolation(f"node {x} crossed nu on its out channel")
-                if in_ch.balance(x) * kappa > tau * in_ch.capacity:
-                    raise InvariantViolation(f"node {x} crossed nu on its in channel")
-            else:
-                if node_gini(g, x) > self.gini_before[x]:
-                    raise InvariantViolation(f"node {x} Gini increased")
+    Capacities and node totals are as the rules saw them.  Each
+    intermediary either stayed on its side of nu on both channels (band
+    mode, `gini_before` None) or did not raise its Gini (gini mode).
+    """
+    for _, _, cid in hops:
+        ch = g.channels[cid]
+        if ch.balance_a + ch.balance_b != ch.capacity:
+            raise InvariantViolation(f"channel {cid} lost capacity conservation")
+    for x, _, _ in hops:
+        if node_totals(g, x) != totals[x]:
+            raise InvariantViolation(f"node {x} total funds changed")
+    for (_, _, in_cid), (x, _, out_cid) in zip(hops, hops[1:]):
+        if gini_before is None:
+            tau, kappa = totals[x]
+            out_ch = g.channels[out_cid]
+            in_ch = g.channels[in_cid]
+            # moved toward nu without crossing it, on both channels
+            if out_ch.balance(x) * kappa < tau * out_ch.capacity:
+                raise InvariantViolation(f"node {x} crossed nu on its out channel")
+            if in_ch.balance(x) * kappa > tau * in_ch.capacity:
+                raise InvariantViolation(f"node {x} crossed nu on its in channel")
+        elif node_gini(g, x) > gini_before[x]:
+            raise InvariantViolation(f"node {x} Gini increased")
 
 
 def run_simulation(
     g: NetworkGraph,
     config: SimulationConfig,
-    sampler: Callable[[NetworkGraph], Mapping[str, float]] | None = None,
+    sampler: Callable[[NetworkGraph], Any] | None = None,
 ) -> SimulationResult:
     """Run seeded sweeps of the greedy heuristic until no progress is made.
 
@@ -360,8 +354,8 @@ def run_simulation(
     seeded-shuffled order until one executes.  Terminates after a sweep
     with zero executed operations or at `max_operations`.  Whenever the
     network imbalance first falls below a new 0.01 grid value, `sampler`
-    is called once on the graph and a sample records its metrics, sorted
-    by name.  Mutates `g` in place and is fully deterministic in
+    is called once on the graph and a sample stores what it returns, as
+    is.  Mutates `g` in place and is fully deterministic in
     (g, config).
     """
     rng = random.Random(config.seed)
@@ -375,8 +369,7 @@ def run_simulation(
     imbalance = sum(ginis.values()) / len(nodes)
 
     def take_sample(ops_count: int) -> MetricsSample:
-        metrics = dict(sorted(sampler(g).items())) if sampler is not None else {}
-        return MetricsSample(ops_count, imbalance, metrics)
+        return MetricsSample(ops_count, imbalance, sampler(g) if sampler is not None else None)
 
     operations: list[OperationRecord] = []
     samples = [take_sample(0)]
@@ -407,7 +400,7 @@ def run_simulation(
             indices = list(range(len(cyc)))
             rng.shuffle(indices)
             for i in indices:
-                amount = attempt_rebalance(g, u, cid, cyc[i], config, ledger, totals)
+                amount = attempt_rebalance(g, cyc[i], config, ledger, totals)
                 if amount is None:
                     continue
                 ops += 1

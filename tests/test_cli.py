@@ -11,21 +11,73 @@ import pytest
 
 import lnbalance
 from lnbalance.cli import main
+from lnbalance.evaluation import ks_distance
 from lnbalance.model import InvariantViolation
 from lnbalance.rebalancer import SimulationConfig
 
 # sha256 of simulate's outputs on the snapshot of `gen --nodes 40 --degree 3
-# --seed 7` with `--seed 7`, recorded with an evaluation that recomputed
-# every route at every sample; cached routes must reproduce them exactly
+# --seed 7` with `--seed 7`, keyed by test id: (simulate flags, digests).
+# cycle4 and cycle5 (band, uncapped) were recorded with an evaluation that
+# recomputed every route at every sample; cached routes must reproduce them
+# exactly.  The other six pin every strategy x agreement pair, capped at 30
+# operations to stay fast.
 GOLDEN = {
-    "cycle4": {
-        "metrics.csv": "4598f38b3be228bf1a223b454448d6734c26210ba18f300233e6310f73a82033",
-        "operations.jsonl": "623c053c46c879b70ae993822c37f968c00767e4660a433daf50e7aeea2d9192",
-    },
-    "cycle5": {
-        "metrics.csv": "ff0c4d8bba1598969753b433a24e8b40d01caeeb2f8023190084a4cde326c40f",
-        "operations.jsonl": "db61d01a7d7b2f656a5978a4143774b9759f62391cbce8235898619d7496e3d3",
-    },
+    "cycle4": (
+        ["cycle4"],
+        {
+            "metrics.csv": "4598f38b3be228bf1a223b454448d6734c26210ba18f300233e6310f73a82033",
+            "operations.jsonl": "623c053c46c879b70ae993822c37f968c00767e4660a433daf50e7aeea2d9192",
+        },
+    ),
+    "cycle5": (
+        ["cycle5"],
+        {
+            "metrics.csv": "ff0c4d8bba1598969753b433a24e8b40d01caeeb2f8023190084a4cde326c40f",
+            "operations.jsonl": "db61d01a7d7b2f656a5978a4143774b9759f62391cbce8235898619d7496e3d3",
+        },
+    ),
+    "cycle4-gini": (
+        ["cycle4", "--agreement", "gini", "--max-operations", "30"],
+        {
+            "metrics.csv": "a3aaa561fdf657ff04a81ff45f529addb2014a565069936af21aa506a0f446b1",
+            "operations.jsonl": "b5e5b6f28063023623f34540a0322a82a9fa9bf8020f6a3e1f8a0e71fd2b5d82",
+        },
+    ),
+    "cycle5-gini": (
+        ["cycle5", "--agreement", "gini", "--max-operations", "30"],
+        {
+            "metrics.csv": "a7c18b4353adc7b6300a9af91508fd7cc72b035c68c93b73bfe0e9071c3f21c6",
+            "operations.jsonl": "30553496c8d3dafc9dd5d275c357cef8594f61b76aba0e47b5e752d3759a26de",
+        },
+    ),
+    "foaf-band": (
+        ["foaf", "--max-operations", "30"],
+        {
+            "metrics.csv": "d8960e8fa17330c0dcaec0e796c85d47e7399e5bd73263c954aa86d47eed2b36",
+            "operations.jsonl": "997b62188f27e896928aa84856daabdcf8ae2309142dbb12809a645f6a97c08d",
+        },
+    ),
+    "foaf-gini": (
+        ["foaf", "--agreement", "gini", "--max-operations", "30"],
+        {
+            "metrics.csv": "09de36cb91ca81a8ade888168f9af3b4571e854010533b8616b2dfbc3ed7cbfc",
+            "operations.jsonl": "8f0d818df0c8231529d68447b774cb57fd70308edca00de4d0a7753a477a6763",
+        },
+    ),
+    "mpp-band": (
+        ["mpp", "--max-operations", "30"],
+        {
+            "metrics.csv": "237ef3f7772e45567bb9bb9fffce3f1e4212afac04eaf1b8161dbc53cb1662c0",
+            "operations.jsonl": "419a3228b38778021490e0d0bfc869d53eba27d31da8ad3917eae5b1f85f7697",
+        },
+    ),
+    "mpp-gini": (
+        ["mpp", "--agreement", "gini", "--max-operations", "30"],
+        {
+            "metrics.csv": "b1bd6408b89a62e10065c581652a38fc23cbd292c5441d96da63e3817e2f5629",
+            "operations.jsonl": "4b7d73d26823b9db2cb3551f1b7074662c1484786cea3eaf642df44ff2646b88",
+        },
+    ),
 }
 
 
@@ -36,22 +88,32 @@ def snapshot(tmp_path_factory):
     return path
 
 
-def simulate(snapshot, outdir, strategy="cycle4"):
-    return main(["simulate", "-i", str(snapshot), "--strategy", strategy, "--seed", "7", "-o", str(outdir)])
+@pytest.fixture(scope="module")
+def bundle(snapshot, tmp_path_factory):
+    """The cycle4 bundle of `snapshot`, for tests that only read it."""
+    out = tmp_path_factory.mktemp("simulated") / "bundle"
+    assert simulate(snapshot, out) == 0
+    return out
+
+
+def simulate(snapshot, outdir, strategy="cycle4", *flags):
+    argv = ["simulate", "-i", str(snapshot), "--strategy", strategy, "--seed", "7", "-o", str(outdir)]
+    return main([*argv, *flags])
 
 
 def digests(bundle):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in bundle.iterdir()}
 
 
-@pytest.mark.parametrize("strategy", sorted(GOLDEN))
-def test_simulate_bundle_is_complete_and_golden(snapshot, tmp_path, strategy):
+@pytest.mark.parametrize("case", GOLDEN)
+def test_simulate_bundle_is_complete_and_golden(snapshot, tmp_path, case):
+    flags, golden = GOLDEN[case]
     bundle = tmp_path / "bundle"
-    assert simulate(snapshot, bundle, strategy) == 0
+    assert simulate(snapshot, bundle, *flags) == 0
     manifest = json.loads((bundle / "manifest.json").read_text(encoding="utf-8"))
     assert sorted(p.name for p in bundle.iterdir()) == sorted(manifest["outputs"])
     got = digests(bundle)
-    for name, expected in GOLDEN[strategy].items():
+    for name, expected in golden.items():
         assert got[name] == expected, name
 
 
@@ -82,12 +144,25 @@ def test_manifest_config_round_trips(snapshot, tmp_path):
     )
 
 
-def test_evaluate_matches_last_simulate_sample(snapshot, tmp_path, capsys):
-    assert simulate(snapshot, tmp_path / "bundle") == 0
-    final = tmp_path / "bundle" / "final_state.csv"
+def test_evaluate_compare_reports_ks_distance(bundle, tmp_path, capsys):
+    assert main(["evaluate", "-i", str(bundle / "initial_state.csv"), "-o", str(tmp_path / "initial")]) == 0
+    baseline = tmp_path / "initial" / "report.json"
+    argv = ["evaluate", "-i", str(bundle / "final_state.csv"), "--compare", str(baseline),
+            "-o", str(tmp_path / "final")]
+    assert main(argv) == 0
+    assert "ks_vs_baseline" in capsys.readouterr().out
+    initial = json.loads(baseline.read_text(encoding="utf-8"))
+    final = json.loads((tmp_path / "final" / "report.json").read_text(encoding="utf-8"))
+    expected = ks_distance(final["gini_values"], initial["gini_values"])
+    assert expected > 0
+    assert final["ks_distance_vs_baseline"] == expected
+
+
+def test_evaluate_matches_last_simulate_sample(bundle, tmp_path, capsys):
+    final = bundle / "final_state.csv"
     assert main(["evaluate", "-i", str(final), "-o", str(tmp_path / "eval")]) == 0
     report = json.loads((tmp_path / "eval" / "report.json").read_text(encoding="utf-8"))
-    last = (tmp_path / "bundle" / "metrics.csv").read_text(encoding="utf-8").splitlines()[-1]
+    last = (bundle / "metrics.csv").read_text(encoding="utf-8").splitlines()[-1]
     _, _, rate, median = last.split(",")
     assert repr(report["success_rate"]) == rate
     assert report["median_payment_sat"] == int(median)
@@ -143,6 +218,30 @@ def test_gen_into_missing_directory_exits_3(tmp_path, capsys):
     out = tmp_path / "missing" / "snap.csv"
     assert main(["gen", "--nodes", "5", "--degree", "2", "--seed", "1", "-o", str(out)]) == 3
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(lambda snap, state, tmp: ["gen", "--nodes", "5", "--degree", "2", "--seed", "1",
+                                               "-o", str(tmp)], id="gen-into-directory"),
+        pytest.param(lambda snap, state, tmp: ["simulate", "-i", str(tmp), "--strategy", "cycle4",
+                                               "--seed", "1", "-o", str(tmp / "bundle")],
+                     id="simulate-from-directory"),
+        pytest.param(lambda snap, state, tmp: ["simulate", "-i", str(snap), "--strategy", "cycle4",
+                                               "--seed", "1", "-o", str(tmp / "file" / "sub")],
+                     id="simulate-under-file"),
+        pytest.param(lambda snap, state, tmp: ["evaluate", "-i", str(state), "-o", str(tmp / "file")],
+                     id="evaluate-into-file"),
+    ],
+)
+def test_os_error_exits_3(argv, snapshot, bundle, tmp_path, capsys):
+    (tmp_path / "file").write_text("mine\n", encoding="utf-8")
+    assert main(argv(snapshot, bundle / "final_state.csv", tmp_path)) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    # nothing written, and no staging directory left behind
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "mine\n"
 
 
 def test_module_entry_point_passes_exit_code(tmp_path):

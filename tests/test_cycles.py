@@ -90,6 +90,18 @@ class TestTriangleAndCliques:
             assert c.hops[0] == (0, 1, 0)
             assert c.hops[-1][1] == 0
 
+    def test_order_is_neighbor_then_channel_at_each_hop(self):
+        # channels 1 and 2 are parallel: node sequences repeat, and the
+        # channel taken at hop 2 outranks the node reached at hop 3
+        g = graph_from_edges([(0, 1), (1, 2), (1, 2), (2, 3), (2, 4), (3, 0), (4, 0)])
+        cycles = enumerate_cycles(g, 0, 0, Strategy.CYCLE4, cap=100)
+        assert [(c.nodes, c.channel_ids) for c in cycles] == [
+            ((0, 1, 2, 3), (0, 1, 3, 5)),
+            ((0, 1, 2, 4), (0, 1, 4, 6)),
+            ((0, 1, 2, 3), (0, 2, 3, 5)),
+            ((0, 1, 2, 4), (0, 2, 4, 6)),
+        ]
+
     def test_deterministic_order(self):
         g = clique(5)
         a = enumerate_cycles(g, 0, 0, Strategy.CYCLE5, cap=50)

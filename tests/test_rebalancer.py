@@ -4,10 +4,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lnbalance import rebalancer
 from lnbalance.cycles import Strategy, enumerate_cycles
 from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic, largest_scc
 from lnbalance.model import (
     Channel,
+    InvariantViolation,
     NetworkGraph,
     RebalanceCycle,
     network_imbalance,
@@ -195,7 +197,7 @@ class TestAttemptRebalance:
     def test_triangle_executes_five(self):
         g = skewed_triangle()
         ledger = FeeLedger()
-        amount = attempt_rebalance(g, 0, 0, triangle_cycle(), config(), ledger, totals_of(g))
+        amount = attempt_rebalance(g, triangle_cycle(), config(), ledger, totals_of(g))
         assert amount == 5
         assert network_imbalance(g) == 0.0
         for u in g.nodes():
@@ -206,13 +208,13 @@ class TestAttemptRebalance:
         # node 1 has nothing on its outgoing channel
         g = make_graph([(0, 1, 10, 10), (1, 2, 10, 0), (2, 0, 10, 10)])
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
-        outcome = attempt_rebalance(g, 0, 0, triangle_cycle(), config(), FeeLedger(), totals_of(g))
+        outcome = attempt_rebalance(g, triangle_cycle(), config(), FeeLedger(), totals_of(g))
         assert outcome is None
         assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
 
     def test_declines_on_zero_desired(self):
         g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)])
-        assert attempt_rebalance(g, 0, 0, triangle_cycle(), config(), FeeLedger(), totals_of(g)) is None
+        assert attempt_rebalance(g, triangle_cycle(), config(), FeeLedger(), totals_of(g)) is None
 
     def test_sink_condition_blocks(self):
         # initiator's receiving side of the last channel sits above its nu
@@ -222,27 +224,84 @@ class TestAttemptRebalance:
             )
 
         g = build()
-        assert attempt_rebalance(g, 0, 0, triangle_cycle(), config(), FeeLedger(), totals_of(g)) is None
+        assert attempt_rebalance(g, triangle_cycle(), config(), FeeLedger(), totals_of(g)) is None
         relaxed = config(require_sink_condition=False)
         g = build()
-        assert attempt_rebalance(g, 0, 0, triangle_cycle(), relaxed, FeeLedger(), totals_of(g)) == 2
+        assert attempt_rebalance(g, triangle_cycle(), relaxed, FeeLedger(), totals_of(g)) == 2
 
     def test_min_amount_threshold(self):
         g = skewed_triangle()
         cfg = config(min_amount=6)
-        assert attempt_rebalance(g, 0, 0, triangle_cycle(), cfg, FeeLedger(), totals_of(g)) is None
+        assert attempt_rebalance(g, triangle_cycle(), cfg, FeeLedger(), totals_of(g)) is None
 
     def test_mpp_splits_amount(self):
         g = make_graph([(0, 1, 1000, 1000), (1, 2, 1000, 1000), (2, 0, 1000, 1000)])
         cfg = config(strategy=Strategy.MPP, mpp_divisor=20)
         ledger = FeeLedger()
-        amount = attempt_rebalance(g, 0, 0, triangle_cycle(), cfg, ledger, totals_of(g))
+        amount = attempt_rebalance(g, triangle_cycle(), cfg, ledger, totals_of(g))
         assert amount == 25  # desired 500 split by 20
 
-    def test_wrong_first_hop_rejected(self):
-        g = skewed_triangle()
-        with pytest.raises(ValueError):
-            attempt_rebalance(g, 1, 0, triangle_cycle(), config(), FeeLedger(), totals_of(g))
+
+def _unbalance_first_channel(apply):
+    def faulty(g, cycle, amount):
+        apply(g, cycle, amount)
+        g.channels[cycle.hops[0][2]].balance_a += 1
+
+    return faulty
+
+
+def _shift_first_hop_only(apply):
+    def faulty(g, cycle, amount):
+        sender, _, cid = cycle.hops[0]
+        g.channels[cid].shift(sender, amount)
+
+    return faulty
+
+
+def _overshoot(apply):
+    def faulty(g, cycle, amount):
+        apply(g, cycle, amount + 1)
+
+    return faulty
+
+
+def _credit_without_debit(record):
+    def faulty(ledger, g, cycle, amount):
+        ledger.credit(cycle.hops[1][0], 1)
+
+    return faulty
+
+
+# node 1 can receive 1 on channel 0 before reaching its nu; paying 2 crosses
+# it there while channel 1 only reaches it
+BAND_IN_OVERSHOOT = [(0, 1, 10, 3), (1, 2, 10, 10), (2, 0, 10, 10), (1, 3, 10, 7)]
+# the gini-mode payment on the triangle is 2; paying 3 raises node 2's Gini
+GINI_OVERSHOOT = [(0, 1, 10, 10), (1, 2, 10, 4), (2, 0, 10, 8), (1, 3, 10, 0), (0, 3, 10, 0)]
+
+
+@pytest.mark.parametrize(
+    "specs, mode, target, fault, message",
+    [
+        pytest.param(None, "band", "apply_circular_payment", _unbalance_first_channel,
+                     "channel 0 lost capacity conservation", id="capacity"),
+        pytest.param(None, "band", "apply_circular_payment", _shift_first_hop_only,
+                     "node 0 total funds changed", id="funds"),
+        pytest.param(None, "band", "apply_circular_payment", _overshoot,
+                     "node 1 crossed nu on its out channel", id="band-out"),
+        pytest.param(BAND_IN_OVERSHOOT, "band", "apply_circular_payment", _overshoot,
+                     "node 1 crossed nu on its in channel", id="band-in"),
+        pytest.param(GINI_OVERSHOOT, "gini", "apply_circular_payment", _overshoot,
+                     "node 2 Gini increased", id="gini"),
+        pytest.param(None, "band", "record_fees", _credit_without_debit,
+                     "fee ledger lost zero-sum", id="zero-sum"),
+    ],
+)
+def test_post_condition_catches_faulty_execution(monkeypatch, specs, mode, target, fault, message):
+    """Each check after an executed payment fires on the fault it guards against."""
+    g = make_graph(specs) if specs else skewed_triangle()
+    monkeypatch.setattr(rebalancer, target, fault(getattr(rebalancer, target)))
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        attempt_rebalance(g, triangle_cycle(), config(agreement_mode=mode), FeeLedger(), totals_of(g))
 
 
 class TestRunSimulation:
@@ -290,12 +349,11 @@ class TestRunSimulation:
 
         def sampler(snapshot):
             calls.append(network_imbalance(snapshot))
-            return {"probe": float(len(calls)), "another": 0.0}
+            return ("probe", len(calls))
 
         res = run_simulation(g, config(), sampler)
-        assert all("probe" in s.metrics for s in res.samples)
-        assert all(list(s.metrics) == ["another", "probe"] for s in res.samples)
         assert len(calls) == len(res.samples)
+        assert [s.metrics for s in res.samples] == [("probe", i + 1) for i in range(len(calls))]
 
     def test_fee_ledger_zero_sum_after_run(self):
         from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic, largest_scc
@@ -320,7 +378,7 @@ class TestRunSimulation:
         records = generate_synthetic(30, 2, (10_000, 100_000), seed=6)
         g = largest_scc(allocate_funds_coinflip(records, seed=6))
         res = run_simulation(g, config(seed=6, strategy=Strategy.FOAF, agreement_mode="gini"))
-        # _VerifyWatch asserts per op that no intermediate's Gini increased
+        # _check_executed asserts per op that no intermediate's Gini increased
         assert res.ledger.total() == 0
 
 
@@ -370,7 +428,7 @@ def reference_simulation(g, config):
             rng.shuffle(indices)
             for i in indices:
                 totals = {x: node_totals(g, x) for x in cycles[i].nodes}
-                amount = attempt_rebalance(g, u, cid, cycles[i], config, ledger, totals)
+                amount = attempt_rebalance(g, cycles[i], config, ledger, totals)
                 if amount is not None:
                     ops.append((len(ops) + 1, u, cycles[i], amount, network_imbalance(g)))
                     executed_this_sweep = True
