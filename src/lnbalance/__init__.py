@@ -6,7 +6,6 @@ from .cycles import Strategy, enumerate_cycles, foaf_node_set
 from .evaluation import (
     EvaluationReport,
     RouteCache,
-    cheapest_path,
     evaluate_network,
     gini_distribution,
     ks_distance,
@@ -57,7 +56,6 @@ __all__ = [
     "apply_circular_payment",
     "attempt_rebalance",
     "candidate_channels",
-    "cheapest_path",
     "check_sink_condition",
     "desired_amount",
     "enumerate_cycles",

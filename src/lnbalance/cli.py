@@ -5,9 +5,12 @@
 and writes a result bundle, `evaluate` computes payment metrics on any
 state file.  Every command is deterministic under its seeds.  A
 `simulate` bundle holds a manifest (config, input hash, output names) and
-exactly the files it names.  It is built in a temporary sibling directory
-and renamed onto `--outdir` once every file is written, so it appears
-whole or not at all; an existing `--outdir` must be an empty directory.
+exactly the files it names.  Both `simulate` and `evaluate` build their
+output in a temporary sibling directory and rename it onto `--outdir`
+once every file is written, so it appears whole or not at all.  An
+existing `--outdir` must be an empty directory: a non-empty one exits 2
+before any input is read, and a file exits 3.  Neither command creates
+missing parent directories; a missing parent exits 3 and creates nothing.
 
 `simulate` evaluates the network once per metrics sample, and every
 sample reuses the cheapest-path trees built for the run's graph at the
@@ -19,8 +22,10 @@ Exit codes: 0 success, 2 usage, 3 input data error, 4 invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -28,6 +33,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .cycles import Strategy
@@ -142,36 +148,50 @@ def cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    outdir = Path(args.outdir)
-    if outdir.exists() and (not outdir.is_dir() or any(outdir.iterdir())):
-        raise UsageError(f"--outdir {outdir} exists and is not an empty directory")
-    records = load_snapshot(args.input)
-    if not records:
-        print(f"error: {args.input}: empty snapshot", file=sys.stderr)
-        return EXIT_DATA
-    g = largest_scc(allocate_funds_coinflip(records, args.seed))
-    if g.num_nodes() < 2:
-        print("error: no rebalancing possible (largest SCC is trivial)", file=sys.stderr)
-        return EXIT_DATA
-
-    target = outdir.resolve()
-    target.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent))
-    try:
-        # a plain mkdir gives the bundle the usual permissions; mkdtemp's are 0700
-        bundle = staging / target.name
-        bundle.mkdir()
+    with _published(args.outdir) as bundle:
+        records = load_snapshot(args.input)
+        if not records:
+            raise SnapshotError(f"{args.input}: empty snapshot")
+        g = largest_scc(allocate_funds_coinflip(records, args.seed))
+        if g.num_nodes() < 2:
+            raise SnapshotError("no rebalancing possible (largest SCC is trivial)")
         result = _write_bundle(bundle, args.input, config, g)
-        os.replace(bundle, target)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
 
     print(
         f"executed {len(result.operations)} operations; "
         f"imbalance {result.samples[0].imbalance:.4f} -> {result.samples[-1].imbalance:.4f}; "
-        f"bundle in {outdir}"
+        f"bundle in {Path(args.outdir)}"
     )
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _published(outdir: str) -> Iterator[Path]:
+    """Yield an empty directory that becomes `outdir` when the block succeeds.
+
+    The directory is made in a temporary sibling of `outdir` and renamed
+    onto it at the end, so `outdir` appears whole or not at all.  An
+    existing `outdir` must be an empty directory: a non-empty one is a
+    usage error and any other file is refused with ``NotADirectoryError``,
+    both before the block runs.  Missing parent directories are not
+    created.
+    """
+    target = Path(outdir)
+    if target.is_dir() and any(target.iterdir()):
+        raise UsageError(f"--outdir {target} exists and is not an empty directory")
+    if target.exists() and not target.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), outdir)
+    target = target.resolve()
+    # strict, so that a missing parent is reported by its own name
+    staging = Path(tempfile.mkdtemp(prefix=f".{target.name}.", dir=target.parent.resolve(strict=True)))
+    try:
+        # a plain mkdir gives the directory the usual permissions; mkdtemp's are 0700
+        bundle = staging / target.name
+        bundle.mkdir()
+        yield bundle
+        os.replace(bundle, target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _write_bundle(
@@ -232,39 +252,37 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--amount must be at least 1")
     if args.sample_pairs is not None and args.sample_pairs < 1:
         raise UsageError("--sample-pairs must be at least 1")
-    g = load_state(args.input)
-    report = evaluate_network(
-        g,
-        amount=args.amount,
-        sample_pairs=args.sample_pairs,
-        seed=args.seed,
-    )
-    obj = {
-        "success_rate": report.success_rate,
-        "median_payment_sat": report.median_payment_sat,
-        "network_imbalance": report.network_imbalance,
-        "amount_sat": report.amount_sat,
-        "sampled_pairs": report.sampled_pairs,
-        "gini_values": report.gini_values,
-    }
-    if args.compare:
-        with open(args.compare, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        obj["ks_distance_vs_baseline"] = ks_distance(report.gini_values, baseline["gini_values"])
-
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "report.json", obj)
-    with open(outdir / "payment_size_cdf.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["value", "cumulative_fraction"])
-        for value, frac in report.payment_size_cdf:
-            writer.writerow([value, repr(frac)])
-    with open(outdir / "gini_cdf.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["value", "cumulative_fraction"])
-        for value, frac in cdf_points(report.gini_values):
-            writer.writerow([repr(float(value)), repr(frac)])
+    with _published(args.outdir) as outdir:
+        g = load_state(args.input)
+        report = evaluate_network(
+            g,
+            amount=args.amount,
+            sample_pairs=args.sample_pairs,
+            seed=args.seed,
+        )
+        obj = {
+            "success_rate": report.success_rate,
+            "median_payment_sat": report.median_payment_sat,
+            "network_imbalance": report.network_imbalance,
+            "amount_sat": report.amount_sat,
+            "sampled_pairs": report.sampled_pairs,
+            "gini_values": report.gini_values,
+        }
+        if args.compare:
+            with open(args.compare, encoding="utf-8") as fh:
+                baseline = json.load(fh)
+            obj["ks_distance_vs_baseline"] = ks_distance(report.gini_values, baseline["gini_values"])
+        _write_json(outdir / "report.json", obj)
+        with open(outdir / "payment_size_cdf.csv", "w", encoding="utf-8", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["value", "cumulative_fraction"])
+            for value, frac in report.payment_size_cdf:
+                writer.writerow([value, repr(frac)])
+        with open(outdir / "gini_cdf.csv", "w", encoding="utf-8", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["value", "cumulative_fraction"])
+            for value, frac in cdf_points(report.gini_values):
+                writer.writerow([repr(float(value)), repr(frac)])
 
     line = (
         f"success_rate {report.success_rate:.4f}, "

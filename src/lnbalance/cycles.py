@@ -75,22 +75,19 @@ def enumerate_cycles(
     """
     if cap < 1:
         raise ValueError("cycle cap must be at least 1")
-    first = g.channel(cid)
-    if not first.is_endpoint(initiator):
-        raise ValueError(f"node {initiator} is not an endpoint of channel {cid}")
+    v = g.channel(cid).peer(initiator)
     if strategy.foaf_restricted:
         allowed = foaf_node_set(g, initiator)
         max_len = DEFAULT_FOAF_MAX_LEN
     else:
         allowed = None
         max_len = 4 if strategy is Strategy.CYCLE4 else 5
-    v = first.peer(initiator)
     dist = _bfs_distances(g, initiator, allowed)
     out: list[RebalanceCycle] = []
     for length in range(2, max_len + 1):
         if len(out) >= cap:
             break
-        _collect_exact_length(g, initiator, cid, v, length, allowed, dist, out, cap)
+        _collect_exact_length(g, initiator, cid, v, length, dist, out, cap)
     return out
 
 
@@ -100,14 +97,11 @@ def _collect_exact_length(
     first_cid: int,
     v: int,
     length: int,
-    allowed: set[int] | None,
     dist: dict[int, int],
     out: list[RebalanceCycle],
     cap: int,
 ) -> None:
     """Append all cycles of exactly `length` hops, lexicographic by hop."""
-    if dist.get(v, length + 1) > length - 1:
-        return
     path = [initiator, v]
     cids = [first_cid]
     on_path = {initiator, v}
@@ -130,8 +124,6 @@ def _collect_exact_length(
         budget = length - hops_used - 1
         for nb, cc in g.incident_by_neighbor(current):
             if nb in on_path:
-                continue
-            if allowed is not None and nb not in allowed:
                 continue
             if dist.get(nb, budget + 1) > budget:
                 continue

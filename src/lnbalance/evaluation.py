@@ -27,17 +27,6 @@ import numpy as np
 from .model import NetworkGraph, node_gini
 
 
-@dataclass(frozen=True)
-class PathQueryResult:
-    """Cheapest directed path between two nodes plus its liquidity limit."""
-
-    source: int
-    target: int
-    path: list[tuple[int, int]]  # (channel id, sender) per hop
-    total_base_fee: int
-    bottleneck: int
-
-
 @dataclass
 class EvaluationReport:
     """All snapshot metrics behind the before/after comparisons.
@@ -76,29 +65,6 @@ def _single_source(g: NetworkGraph, source: int) -> dict[int, tuple]:
                 best[nb] = cand
                 heapq.heappush(heap, cand)
     return best
-
-
-def _bottleneck_of(g: NetworkGraph, nodes: tuple[int, ...], cids: tuple[int, ...]) -> int:
-    return min(g.channels[cid].balance(sender) for sender, cid in zip(nodes, cids))
-
-
-def cheapest_path(g: NetworkGraph, source: int, target: int) -> PathQueryResult:
-    """Minimum base-fee path, ties to fewer hops then smaller node ids.
-
-    Balances do not influence the choice; the bottleneck is read off the
-    chosen path afterward.  No path yields an empty result with
-    bottleneck 0.
-    """
-    if source == target:
-        raise ValueError("source and target must differ")
-    if source not in g.adjacency or target not in g.adjacency:
-        raise KeyError("unknown node")
-    entry = _single_source(g, source).get(target)
-    if entry is None:
-        return PathQueryResult(source, target, [], 0, 0)
-    fee, _, nodes, cids = entry
-    path = [(cid, sender) for sender, cid in zip(nodes, cids)]
-    return PathQueryResult(source, target, path, fee, _bottleneck_of(g, nodes, cids))
 
 
 _UNBOUNDED = np.iinfo(np.int64).max
@@ -143,7 +109,7 @@ class RouteCache:
                 for _, _, nodes, cids in _single_source(g, source).values()
                 if cids
             )
-            depths, *columns = zip(*hops) if hops else ((),) * 4
+            depths, *columns = zip(*hops)
             ends = [i for i in range(1, len(depths)) if depths[i] != depths[i - 1]]
             tree = (np.array(columns, dtype=np.int32), ends + [len(depths)])
             self._trees[source] = tree

@@ -113,15 +113,10 @@ def _load_jsonl(text: str, path: Path) -> list[SnapshotRecord]:
             continue
         try:
             obj = json.loads(line)
-            records.append(
-                SnapshotRecord(
-                    node_a=str(obj["node_a"]),
-                    node_b=str(obj["node_b"]),
-                    capacity_sat=int(obj["capacity_sat"]),
-                    base_fee_msat=int(obj.get("base_fee_msat", DEFAULT_BASE_FEE_MSAT)),
-                    fee_rate_ppm=int(obj.get("fee_rate_ppm", DEFAULT_FEE_RATE_PPM)),
-                )
-            )
+            # the CSV field parser, so both formats share one rule per field
+            fields = [str(obj[key]) for key in SNAPSHOT_COLUMNS[:3]]
+            fields += [str(obj.get(key, "")) for key in SNAPSHOT_COLUMNS[3:]]
+            records.append(_record_from_fields(fields))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(f"{path}:{lineno}: {exc}") from None
     return records
@@ -317,11 +312,7 @@ def largest_scc(g: NetworkGraph) -> NetworkGraph:
     best = max(sccs, key=lambda comp: (len(comp), -min(comp)))
     keep = set(best)
     channels = [ch for ch in g.channels.values() if ch.node_a in keep and ch.node_b in keep]
-    used = {ch.node_a for ch in channels} | {ch.node_b for ch in channels}
-    return NetworkGraph(
-        (replace(ch) for ch in channels),
-        labels={u: g.label(u) for u in used},
-    )
+    return NetworkGraph((replace(ch) for ch in channels), labels=g.labels)
 
 
 def generate_synthetic(

@@ -57,9 +57,6 @@ class Channel:
         if self.base_fee_msat < 0 or self.fee_rate_ppm < 0:
             raise ValueError(f"channel {self.cid}: fee parameters must be non-negative")
 
-    def is_endpoint(self, node: int) -> bool:
-        return node == self.node_a or node == self.node_b
-
     def peer(self, node: int) -> int:
         if node == self.node_a:
             return self.node_b

@@ -148,9 +148,7 @@ def desired_amount(
     tau, kappa = totals
     ch = g.channel(cid)
     amount = (ch.balance(u) * kappa - ch.capacity * tau) // kappa
-    if divisor > 1:
-        amount //= divisor
-    return max(amount, 0)
+    return max(amount // divisor, 0)
 
 
 def _band_bound(

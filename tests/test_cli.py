@@ -214,6 +214,33 @@ def test_nonempty_outdir_exits_2_and_is_kept(tmp_path, capsys):
     assert (outdir / "keep.txt").read_text(encoding="utf-8") == "mine\n"
 
 
+def test_evaluate_nonempty_outdir_exits_2_and_is_kept(tmp_path, capsys):
+    outdir = tmp_path / "eval"
+    outdir.mkdir()
+    (outdir / "keep.txt").write_text("mine\n", encoding="utf-8")
+    # the input does not exist either: the outdir is checked before it is read
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "-i", str(tmp_path / "missing.csv"), "-o", str(outdir)])
+    assert exc.value.code == 2
+    assert [p.name for p in outdir.iterdir()] == ["keep.txt"]
+    assert (outdir / "keep.txt").read_text(encoding="utf-8") == "mine\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(lambda snap, state, out: ["simulate", "-i", str(snap), "--strategy", "cycle4",
+                                               "--seed", "1", "-o", str(out)], id="simulate"),
+        pytest.param(lambda snap, state, out: ["evaluate", "-i", str(state), "-o", str(out)],
+                     id="evaluate"),
+    ],
+)
+def test_missing_parent_exits_3_and_creates_nothing(argv, snapshot, bundle, tmp_path, capsys):
+    assert main(argv(snapshot, bundle / "final_state.csv", tmp_path / "a" / "b" / "out")) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_into_missing_directory_exits_3(tmp_path, capsys):
     out = tmp_path / "missing" / "snap.csv"
     assert main(["gen", "--nodes", "5", "--degree", "2", "--seed", "1", "-o", str(out)]) == 3
@@ -233,6 +260,9 @@ def test_gen_into_missing_directory_exits_3(tmp_path, capsys):
                      id="simulate-under-file"),
         pytest.param(lambda snap, state, tmp: ["evaluate", "-i", str(state), "-o", str(tmp / "file")],
                      id="evaluate-into-file"),
+        pytest.param(lambda snap, state, tmp: ["simulate", "-i", str(snap), "--strategy", "cycle4",
+                                               "--seed", "1", "-o", str(tmp / "file")],
+                     id="simulate-into-file"),
     ],
 )
 def test_os_error_exits_3(argv, snapshot, bundle, tmp_path, capsys):

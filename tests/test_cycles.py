@@ -84,6 +84,11 @@ class TestTriangleAndCliques:
         with pytest.raises(KeyError):
             enumerate_cycles(triangle(), 0, 99, Strategy.CYCLE4, cap=10)
 
+    def test_initiator_not_on_channel(self):
+        g = graph_from_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+        with pytest.raises(ValueError, match="^node 0 is not an endpoint of channel 3$"):
+            enumerate_cycles(g, 0, 3, Strategy.CYCLE4, cap=10)
+
     def test_first_hop_fixed(self):
         g = clique(4)
         for c in enumerate_cycles(g, 0, 0, Strategy.CYCLE5, cap=100):

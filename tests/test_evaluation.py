@@ -10,7 +10,6 @@ from lnbalance.evaluation import (
     RouteCache,
     _sample_ordered_pairs,
     cdf_points,
-    cheapest_path,
     evaluate_network,
     gini_distribution,
     ks_distance,
@@ -29,101 +28,75 @@ def make_graph(specs):
     return NetworkGraph(channels)
 
 
-def brute_force_cheapest_fee(g, source, target):
-    """Minimum total base fee over all simple paths, by exhaustive enumeration."""
+def oracle_routes(g):
+    """The route of every ordered pair, by exhaustive search.
+
+    Each hop takes the lowest-fee channel between its two nodes, ties to
+    the lower id.  Of all simple node sequences from s to t, the route is
+    the one with the least (total fee, hops, node sequence, channel
+    sequence).  Returns {(s, t): (node sequence, channel sequence)}, with
+    no entry for a pair that has no path.
+    """
+    hop = {}
+    for ch in g.channels.values():
+        for a, b in ((ch.node_a, ch.node_b), (ch.node_b, ch.node_a)):
+            hop[a, b] = min(hop.get((a, b), (ch.base_fee_msat, ch.cid)), (ch.base_fee_msat, ch.cid))
     nodes = g.nodes()
-    best = None
-    for k in range(1, len(nodes)):
-        for mids in itertools.permutations([n for n in nodes if n not in (source, target)], k - 1):
-            seq = (source,) + mids + (target,)
-            fees = 0
-            ok = True
-            for a, b in zip(seq, seq[1:]):
-                hop_fees = [
-                    g.channels[cid].base_fee_msat for cid, nb in g.incident(a) if nb == b
-                ]
-                if not hop_fees:
-                    ok = False
-                    break
-                fees += min(hop_fees)
-            if ok and (best is None or fees < best):
-                best = fees
-    return best
+    best = {}
+    for s in nodes:
+        others = [u for u in nodes if u != s]
+        for k in range(1, len(nodes)):
+            for rest in itertools.permutations(others, k):
+                seq = (s,) + rest
+                steps = list(zip(seq, seq[1:]))
+                if not all(step in hop for step in steps):
+                    continue
+                fees, cids = zip(*(hop[step] for step in steps))
+                key = (sum(fees), k, seq, cids)
+                pair = (s, seq[-1])
+                if pair not in best or key < best[pair]:
+                    best[pair] = key
+    return {pair: key[2:] for pair, key in best.items()}
+
+
+def route_bottleneck(g, s, t):
+    return RouteCache(g).bottlenecks(g, [(s, t)]).tolist()[0]
 
 
 class TestCheapestPath:
+    """Route choice as the bottleneck shows it: the routes compared differ in balance."""
+
     def test_cheaper_route_wins_even_if_blocked(self):
         # direct channel fee 3000 vs two-hop route fee 1000+1000, but empty
         g = make_graph([(0, 1, 10, 5, 3000), (0, 2, 10, 0, 1000), (2, 1, 10, 0, 1000)])
-        res = cheapest_path(g, 0, 1)
-        assert res.total_base_fee == 2000
-        assert [cid for cid, _ in res.path] == [1, 2]
-        assert res.bottleneck == 0
+        assert route_bottleneck(g, 0, 1) == 0
 
     def test_direct_channel_bottleneck(self):
         g = make_graph([(0, 1, 10, 7)])
-        res = cheapest_path(g, 0, 1)
-        assert res.bottleneck == 7
-        assert res.total_base_fee == 1000
+        assert route_bottleneck(g, 0, 1) == 7
 
     def test_three_hop_bottleneck_is_min(self):
         g = make_graph([(0, 1, 20, 10), (1, 2, 20, 3), (2, 3, 20, 8)])
-        res = cheapest_path(g, 0, 3)
-        assert res.bottleneck == 3
+        assert route_bottleneck(g, 0, 3) == 3
 
     def test_no_path(self):
         g = make_graph([(0, 1, 10, 5), (2, 3, 10, 5)])
-        res = cheapest_path(g, 0, 3)
-        assert res.path == [] and res.bottleneck == 0
+        assert route_bottleneck(g, 0, 3) == 0
 
     def test_tie_broken_by_fewer_hops(self):
-        # 0-1 direct (fee 2000) vs 0-2-1 (fee 1000+1000)
-        g = make_graph([(0, 1, 10, 5, 2000), (0, 2, 10, 5, 1000), (2, 1, 10, 5, 1000)])
-        res = cheapest_path(g, 0, 1)
-        assert res.total_base_fee == 2000
-        assert len(res.path) == 1
+        # 0-2 direct (fee 2000, balance 5) vs 0-1-2 (fee 1000+1000, balance 9), which
+        # comes first by node sequence
+        g = make_graph([(0, 2, 10, 5, 2000), (0, 1, 10, 9, 1000), (1, 2, 10, 9, 1000)])
+        assert route_bottleneck(g, 0, 2) == 5
 
     def test_tie_broken_lexicographically(self):
-        # two 2-hop routes with equal fees: via node 2 or node 3; node 2 wins
-        g = make_graph([(0, 3, 10, 5), (3, 1, 10, 5), (0, 2, 10, 5), (2, 1, 10, 5)])
-        res = cheapest_path(g, 0, 1)
-        assert [sender for _, sender in res.path] == [0, 2]
+        # two 2-hop routes with equal fees: via node 3 (balance 9) or node 2 (balance 5); node 2 wins
+        g = make_graph([(0, 3, 10, 9), (3, 1, 10, 9), (0, 2, 10, 5), (2, 1, 10, 5)])
+        assert route_bottleneck(g, 0, 1) == 5
 
     def test_parallel_channel_prefers_cheaper(self):
         g = make_graph([(0, 1, 10, 5, 900), (0, 1, 10, 9, 500)])
-        res = cheapest_path(g, 0, 1)
-        assert res.total_base_fee == 500
-        assert res.bottleneck == 9
-
-    def test_same_node_rejected(self):
-        g = make_graph([(0, 1, 10, 5)])
-        with pytest.raises(ValueError):
-            cheapest_path(g, 0, 0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=100_000))
-    def test_fee_matches_brute_force(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(3, 6)
-        specs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.6:
-                    cap = rng.randint(2, 50)
-                    specs.append((i, j, cap, rng.randint(0, cap), rng.choice([0, 500, 1000, 2500])))
-        if not specs:
-            specs = [(0, 1, 10, 5, 1000)]
-        g = make_graph(specs)
-        nodes = g.nodes()
-        s, t = nodes[0], nodes[-1]
-        if s == t:
-            return
-        expected = brute_force_cheapest_fee(g, s, t)
-        got = cheapest_path(g, s, t)
-        if expected is None:
-            assert got.path == [] and got.bottleneck == 0
-        else:
-            assert got.total_base_fee == expected
+        assert route_bottleneck(g, 0, 1) == 9
 
 
 class TestSuccessRate:
@@ -244,9 +217,12 @@ class TestEvaluateNetwork:
         assert a.sampled_pairs == 50
 
 
-def reference_report(g, pairs, amount, sampled):
-    """Report built pair by pair from `cheapest_path`, with plain Python statistics."""
-    values = sorted(cheapest_path(g, s, t).bottleneck for s, t in pairs)
+def reference_report(g, routes, pairs, amount, sampled):
+    """Report built pair by pair from `oracle_routes`, with plain Python statistics."""
+    values = sorted(
+        min(g.channels[cid].balance(sender) for sender, cid in zip(*routes[pair])) if pair in routes else 0
+        for pair in pairs
+    )
     return {
         "success_rate": sum(1 for v in values if v >= amount) / len(values),
         "median_payment_sat": values[(len(values) - 1) // 2],
@@ -276,20 +252,22 @@ class TestRouteCache:
                     specs.append((i, j, cap, rng.randint(0, cap), rng.choice([0, 500, 1000, 2500])))
         if not specs:
             specs = [(0, 1, 10, 5, 0)]
+        rng.shuffle(specs)  # channel ids in no relation to node ids
         g = make_graph(specs)
         nodes = g.nodes()
         if len(nodes) < 2:
             return
         routes = RouteCache(g)
+        oracle = oracle_routes(g)
         all_pairs = [(s, t) for s in nodes for t in nodes if t != s]
         for _ in range(6):
             amount = rng.randint(1, 20)
             full = evaluate_network(g, amount, routes=routes)
-            assert vars(full) == reference_report(g, all_pairs, amount, None)
+            assert vars(full) == reference_report(g, oracle, all_pairs, amount, None)
             k, sample_seed = rng.randint(1, len(all_pairs)), rng.randint(0, 99)
             sampled = evaluate_network(g, amount, sample_pairs=k, seed=sample_seed, routes=routes)
             pairs = _sample_ordered_pairs(nodes, k, sample_seed)
-            assert vars(sampled) == reference_report(g, pairs, amount, len(pairs))
+            assert vars(sampled) == reference_report(g, oracle, pairs, amount, len(pairs))
             # one random executable circular payment moves balances, not routes
             u = rng.choice(nodes)
             cid = rng.choice(g.incident(u))[0]

@@ -89,6 +89,18 @@ class TestLoadSnapshot:
         with pytest.raises(SnapshotError, match=":2:"):
             load_snapshot(p)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("capacity_sat", 1.9), ("capacity_sat", True), ("base_fee_msat", 2.5), ("fee_rate_ppm", False)],
+    )
+    def test_jsonl_non_integer_names_line(self, tmp_path, key, value):
+        # the CSV rule: a field that is not written as an integer is an error, not truncated
+        p = tmp_path / "net.jsonl"
+        bad = {"node_a": "b", "node_b": "c", "capacity_sat": 7000, key: value}
+        p.write_text('{"node_a": "a", "node_b": "b", "capacity_sat": 5000}\n' + json.dumps(bad) + "\n")
+        with pytest.raises(SnapshotError, match=f":2: {key} is not an integer"):
+            load_snapshot(p)
+
     def test_roundtrip(self, tmp_path):
         records = [rec("a", "b", 100), rec("b", "c", 250, 500, 10)]
         p = tmp_path / "net.csv"
