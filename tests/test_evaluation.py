@@ -98,6 +98,42 @@ class TestCheapestPath:
         g = make_graph([(0, 1, 10, 5, 900), (0, 1, 10, 9, 500)])
         assert route_bottleneck(g, 0, 1) == 9
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_fee_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        specs = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.6:
+                    cap = rng.randint(2, 50)
+                    specs.append((i, j, cap, rng.randint(0, cap), rng.choice([0, 500, 1000, 2500])))
+        if not specs:
+            specs = [(0, 1, 10, 5, 1000)]
+        g = make_graph(specs)
+        nodes = g.nodes()
+        s, t = nodes[0], nodes[-1]
+        if s == t:
+            return
+        # every simple path from s to t with its total fee and bottleneck (one channel per pair)
+        channel = {}
+        for ch in g.channels.values():
+            channel[ch.node_a, ch.node_b] = channel[ch.node_b, ch.node_a] = ch
+        paths = []
+        for k in range(1, len(nodes)):
+            for mids in itertools.permutations([u for u in nodes if u not in (s, t)], k - 1):
+                steps = list(zip((s,) + mids, mids + (t,)))
+                if all(step in channel for step in steps):
+                    fee = sum(channel[step].base_fee_msat for step in steps)
+                    paths.append((fee, min(channel[a, b].balance(a) for a, b in steps)))
+        got = route_bottleneck(g, s, t)
+        if not paths:
+            assert got == 0
+        else:
+            least = min(fee for fee, _ in paths)
+            assert got in {bottleneck for fee, bottleneck in paths if fee == least}
+
 
 class TestSuccessRate:
     def test_fully_balanced_is_one(self):
