@@ -20,13 +20,17 @@ from lnbalance.rebalancer import SimulationConfig
 # cycle4 and cycle5 (band, uncapped) were recorded with an evaluation that
 # recomputed every route at every sample; cached routes must reproduce them
 # exactly.  The other six pin every strategy x agreement pair, capped at 30
-# operations to stay fast.
+# operations to stay fast.  The state and fee files pin the CSV writers.
+INITIAL_STATE = "4517fe54457f6ee7021adc513af569bfeed135ac900f52b1d4e0b950e1022921"
 GOLDEN = {
     "cycle4": (
         ["cycle4"],
         {
             "metrics.csv": "4598f38b3be228bf1a223b454448d6734c26210ba18f300233e6310f73a82033",
             "operations.jsonl": "623c053c46c879b70ae993822c37f968c00767e4660a433daf50e7aeea2d9192",
+            "initial_state.csv": INITIAL_STATE,
+            "final_state.csv": "d315abcc40beee476dbb37b3eec5d00182e302a706027c31137f017d1769510a",
+            "fees.csv": "01b03ef4e1a371fe3eb4fd468203ec32a072769b51347d7dc78e75f31ebaff56",
         },
     ),
     "cycle5": (
@@ -34,6 +38,9 @@ GOLDEN = {
         {
             "metrics.csv": "ff0c4d8bba1598969753b433a24e8b40d01caeeb2f8023190084a4cde326c40f",
             "operations.jsonl": "db61d01a7d7b2f656a5978a4143774b9759f62391cbce8235898619d7496e3d3",
+            "initial_state.csv": INITIAL_STATE,
+            "final_state.csv": "a18403e3ee7fbbdf05c6414cde264628f52fccf29f92108522406db5b725dbee",
+            "fees.csv": "53d4c44e0abcc65df3db9484a8f500e34d91c1dd71b0c5e08f183065a6cc0b95",
         },
     ),
     "cycle4-gini": (
@@ -41,6 +48,9 @@ GOLDEN = {
         {
             "metrics.csv": "a3aaa561fdf657ff04a81ff45f529addb2014a565069936af21aa506a0f446b1",
             "operations.jsonl": "b5e5b6f28063023623f34540a0322a82a9fa9bf8020f6a3e1f8a0e71fd2b5d82",
+            "initial_state.csv": INITIAL_STATE,
+            "final_state.csv": "5e169e555789673540279ba5a3bd6600430dd6d6a3965fbe25b6bd55e84acd98",
+            "fees.csv": "9a386f0c5085f87832f4472d1d3b9ea6ce672bd2b76026b88488321f2e39fc33",
         },
     ),
     "cycle5-gini": (
@@ -48,6 +58,9 @@ GOLDEN = {
         {
             "metrics.csv": "a7c18b4353adc7b6300a9af91508fd7cc72b035c68c93b73bfe0e9071c3f21c6",
             "operations.jsonl": "30553496c8d3dafc9dd5d275c357cef8594f61b76aba0e47b5e752d3759a26de",
+            "initial_state.csv": INITIAL_STATE,
+            "final_state.csv": "ed990180716cc5a0cd53959e084cc24d6f605dbdf2322df9ca6411d760cbb440",
+            "fees.csv": "72950bbb4ceed19d04745df8cc321b988a38d14e3bcdd0e3571fb9f69d0dafc8",
         },
     ),
     "foaf-band": (
@@ -55,6 +68,9 @@ GOLDEN = {
         {
             "metrics.csv": "d8960e8fa17330c0dcaec0e796c85d47e7399e5bd73263c954aa86d47eed2b36",
             "operations.jsonl": "997b62188f27e896928aa84856daabdcf8ae2309142dbb12809a645f6a97c08d",
+            "initial_state.csv": INITIAL_STATE,
+            "final_state.csv": "f44edb588e57db963de01cc1599c67d630e05e59a7e58de711367d7b739e3c1f",
+            "fees.csv": "5cf3ddcf55c7045fb34353f3eb7f248ace66f6cd3c0cabc2164ada85633cc280",
         },
     ),
     "foaf-gini": (
@@ -62,6 +78,9 @@ GOLDEN = {
         {
             "metrics.csv": "09de36cb91ca81a8ade888168f9af3b4571e854010533b8616b2dfbc3ed7cbfc",
             "operations.jsonl": "8f0d818df0c8231529d68447b774cb57fd70308edca00de4d0a7753a477a6763",
+            "initial_state.csv": INITIAL_STATE,
+            "final_state.csv": "4b72d718bb49878eb8786194437d4560f0a91b25e187340d6c55972827db4016",
+            "fees.csv": "f47ea2f4ca3d82a588700dfc4b05152a77c899d7d0ec8ce4cce23589a1367e3f",
         },
     ),
     "mpp-band": (
@@ -69,6 +88,9 @@ GOLDEN = {
         {
             "metrics.csv": "237ef3f7772e45567bb9bb9fffce3f1e4212afac04eaf1b8161dbc53cb1662c0",
             "operations.jsonl": "419a3228b38778021490e0d0bfc869d53eba27d31da8ad3917eae5b1f85f7697",
+            "initial_state.csv": INITIAL_STATE,
+            "final_state.csv": "2cc79ec1e34beacab59907bba20d88631e001c54ea0abd154f748cc454701692",
+            "fees.csv": "66f0a5fcc86b3f6f3ba56bbe5b8e973815938c6bbc566e253d5b015687701a4d",
         },
     ),
     "mpp-gini": (
@@ -76,6 +98,31 @@ GOLDEN = {
         {
             "metrics.csv": "b1bd6408b89a62e10065c581652a38fc23cbd292c5441d96da63e3817e2f5629",
             "operations.jsonl": "4b7d73d26823b9db2cb3551f1b7074662c1484786cea3eaf642df44ff2646b88",
+            "initial_state.csv": INITIAL_STATE,
+            "final_state.csv": "88df13fb1220437d1d7723e89c8492f7877cc71cc91d3167af0ab00843a84b6e",
+            "fees.csv": "700a63929e925b9730bbb56370f1907faa86178914eb788f2a4ab252faf6e3a2",
+        },
+    ),
+}
+
+GOLDEN_SNAPSHOT = "472e58d44c803de17427fa8dd2c9246e2b597a9400dcf056fd30f7c06f5b307c"
+
+# sha256 of evaluate's outputs on the final state of the cycle4 bundle
+GOLDEN_EVALUATE = {
+    "defaults": (
+        [],
+        {
+            "report.json": "6232b4070986bca4ba2f2e4c95e824f061f98f9256fafcf671435f4b7e625331",
+            "payment_size_cdf.csv": "c2f3ae74038dd663677685a1b66ea493fbb10577e8a980195d3a1bb29f22f0fb",
+            "gini_cdf.csv": "a2fd49fd93c7c87dd39aa9d8cb043255903eea41db57fb673dab0768d102c9d0",
+        },
+    ),
+    "sampled": (
+        ["--sample-pairs", "500", "--amount", "1000", "--seed", "3"],
+        {
+            "report.json": "2d7c79caba449e3b2fe143e87e0792af63a546b2bbf83d6b993fc351feb832da",
+            "payment_size_cdf.csv": "88a0d1b5a938d50134f5fc05dfedb6a5b1961781c3eb5023b3d616718cadef54",
+            "gini_cdf.csv": "a2fd49fd93c7c87dd39aa9d8cb043255903eea41db57fb673dab0768d102c9d0",
         },
     ),
 }
@@ -115,6 +162,18 @@ def test_simulate_bundle_is_complete_and_golden(snapshot, tmp_path, case):
     got = digests(bundle)
     for name, expected in golden.items():
         assert got[name] == expected, name
+
+
+def test_gen_snapshot_is_golden(snapshot):
+    assert hashlib.sha256(snapshot.read_bytes()).hexdigest() == GOLDEN_SNAPSHOT
+
+
+@pytest.mark.parametrize("case", GOLDEN_EVALUATE)
+def test_evaluate_outputs_are_golden(bundle, tmp_path, case):
+    flags, golden = GOLDEN_EVALUATE[case]
+    out = tmp_path / "eval"
+    assert main(["evaluate", "-i", str(bundle / "final_state.csv"), "-o", str(out), *flags]) == 0
+    assert digests(out) == golden
 
 
 def test_simulate_rerun_is_byte_identical(snapshot, tmp_path):
