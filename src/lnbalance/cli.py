@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import errno
 import hashlib
@@ -45,6 +44,7 @@ from .ingestion import (
     largest_scc,
     load_snapshot,
     load_state,
+    write_csv,
     write_snapshot,
     write_state,
 )
@@ -231,19 +231,10 @@ def _write_bundle(
                 )
                 + "\n"
             )
-    with open(bundle / "metrics.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["ops_count", "imbalance", "success_rate", "median_payment_sat"])
-        for sample in result.samples:
-            success_rate, median_payment_sat = sample.metrics
-            writer.writerow(
-                [sample.ops_count, repr(sample.imbalance), repr(success_rate), median_payment_sat]
-            )
-    with open(bundle / "fees.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_id", "net_fee_msat"])
-        for node in result.graph.nodes():
-            writer.writerow([g.label(node), result.ledger.net(node)])
+    write_csv(bundle / "metrics.csv", ["ops_count", "imbalance", "success_rate", "median_payment_sat"],
+              ([s.ops_count, repr(s.imbalance), repr(s.metrics[0]), s.metrics[1]] for s in result.samples))
+    write_csv(bundle / "fees.csv", ["node_id", "net_fee_msat"],
+              ([g.label(node), result.ledger.net(node)] for node in result.graph.nodes()))
     return result
 
 
@@ -273,16 +264,11 @@ def cmd_evaluate(args) -> int:
                 baseline = json.load(fh)
             obj["ks_distance_vs_baseline"] = ks_distance(report.gini_values, baseline["gini_values"])
         _write_json(outdir / "report.json", obj)
-        with open(outdir / "payment_size_cdf.csv", "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["value", "cumulative_fraction"])
-            for value, frac in report.payment_size_cdf:
-                writer.writerow([value, repr(frac)])
-        with open(outdir / "gini_cdf.csv", "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["value", "cumulative_fraction"])
-            for value, frac in cdf_points(report.gini_values):
-                writer.writerow([repr(float(value)), repr(frac)])
+        cdf_header = ["value", "cumulative_fraction"]
+        write_csv(outdir / "payment_size_cdf.csv", cdf_header,
+                  ([value, repr(frac)] for value, frac in report.payment_size_cdf))
+        write_csv(outdir / "gini_cdf.csv", cdf_header,
+                  ([repr(float(value)), repr(frac)] for value, frac in cdf_points(report.gini_values)))
 
     line = (
         f"success_rate {report.success_rate:.4f}, "

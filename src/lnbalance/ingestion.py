@@ -4,9 +4,16 @@ The portable snapshot formats are CSV (header
 ``node_a,node_b,capacity_sat,base_fee_msat,fee_rate_ppm``) and JSONL with
 the same five keys.  A state file is the CSV form extended with
 ``balance_a_sat,balance_b_sat`` so a simulated network can be re-loaded
-for evaluation.  Everything here is a pure function of its inputs and the
-seed: loading, allocating and filtering the same bytes twice yields the
-same graph.
+for evaluation.  Every CSV file is read by one reader and written by
+:func:`write_csv`, so a node id is written and re-loaded unchanged
+whatever line-break characters it holds (``\\n``, U+2028, U+0085, U+001C
+and the like); a JSONL line ends only at ``\\n``, ``\\r`` or ``\\r\\n``.  A
+node id may not hold a carriage return, which ``csv.writer`` before
+Python 3.13 writes unquoted.  A malformed row raises
+:class:`SnapshotError` naming the line the row ends on (a quoted field
+may span lines).  Everything here is a pure function of its inputs and
+the seed: loading, allocating and filtering the same bytes twice yields
+the same graph.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .model import Channel, NetworkGraph
 
@@ -26,6 +33,8 @@ STATE_COLUMNS = SNAPSHOT_COLUMNS + ["balance_a_sat", "balance_b_sat"]
 
 DEFAULT_BASE_FEE_MSAT = 1000
 DEFAULT_FEE_RATE_PPM = 1
+
+T = TypeVar("T")
 
 
 class SnapshotError(ValueError):
@@ -45,6 +54,8 @@ class SnapshotRecord:
     def __post_init__(self):
         if self.node_a == self.node_b:
             raise ValueError(f"self-channel on node {self.node_a!r}")
+        if "\r" in self.node_a or "\r" in self.node_b:
+            raise ValueError("a node id may not contain a carriage return")
         if self.capacity_sat <= 0:
             raise ValueError(f"capacity must be positive, got {self.capacity_sat}")
         if self.base_fee_msat < 0 or self.fee_rate_ppm < 0:
@@ -61,6 +72,8 @@ def _parse_int(raw: str, name: str, default: int | None = None) -> int:
 
 
 def _record_from_fields(fields: Sequence[str]) -> SnapshotRecord:
+    if len(fields) < len(SNAPSHOT_COLUMNS):
+        raise ValueError(f"expected at least 5 fields, got {len(fields)}")
     return SnapshotRecord(
         node_a=fields[0],
         node_b=fields[1],
@@ -68,6 +81,30 @@ def _record_from_fields(fields: Sequence[str]) -> SnapshotRecord:
         base_fee_msat=_parse_int(fields[3], "base_fee_msat", DEFAULT_BASE_FEE_MSAT),
         fee_rate_ppm=_parse_int(fields[4], "fee_rate_ppm", DEFAULT_FEE_RATE_PPM),
     )
+
+
+def _read_csv(path: Path, header_ok: Callable[[list[str]], bool], header_error: str,
+              parse_row: Callable[[list[str]], T]) -> list[T] | None:
+    """`parse_row` of every row after the header, in file order; None for a file without rows.
+
+    Blank rows are skipped.  A header failing `header_ok`, a `ValueError`
+    from `parse_row` or a row the csv module refuses raises
+    :class:`SnapshotError` naming the line the row ends on.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = filter(None, reader)
+        try:
+            header = next(rows, None)
+            if header is None:
+                return None
+            if not header_ok([h.strip() for h in header]):
+                raise ValueError(header_error)
+            return [parse_row(row) for row in rows]
+        except UnicodeDecodeError:
+            raise  # text is decoded in blocks, so no line can be named
+        except (ValueError, csv.Error) as exc:
+            raise SnapshotError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def load_snapshot(path: str | Path) -> list[SnapshotRecord]:
@@ -78,131 +115,87 @@ def load_snapshot(path: str | Path) -> list[SnapshotRecord]:
     naming the line number.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if not text.strip():
-        return []
     if path.suffix.lower() in (".jsonl", ".json"):
-        return _load_jsonl(text, path)
-    return _load_csv(text, path)
+        return _load_jsonl(path)
+    header_error = f"expected header starting with {','.join(SNAPSHOT_COLUMNS)}"
+    return _read_csv(path, lambda header: header[: len(SNAPSHOT_COLUMNS)] == SNAPSHOT_COLUMNS,
+                     header_error, _record_from_fields) or []
 
 
-def _load_csv(text: str, path: Path) -> list[SnapshotRecord]:
-    rows = list(csv.reader(text.splitlines()))
-    header = [h.strip() for h in rows[0]]
-    if header[: len(SNAPSHOT_COLUMNS)] != SNAPSHOT_COLUMNS:
-        raise SnapshotError(
-            f"{path}:1: expected header starting with {','.join(SNAPSHOT_COLUMNS)}"
-        )
+def _load_jsonl(path: Path) -> list[SnapshotRecord]:
     records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) < len(SNAPSHOT_COLUMNS):
-            raise SnapshotError(f"{path}:{lineno}: expected at least 5 fields, got {len(row)}")
-        try:
-            records.append(_record_from_fields(row))
-        except ValueError as exc:
-            raise SnapshotError(f"{path}:{lineno}: {exc}") from None
+    # a text file splits lines only at \n, \r and \r\n, which JSON escapes inside strings
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                # the CSV field parser, so both formats share one rule per field
+                fields = [str(obj[key]) for key in SNAPSHOT_COLUMNS[:3]]
+                fields += [str(obj.get(key, "")) for key in SNAPSHOT_COLUMNS[3:]]
+                records.append(_record_from_fields(fields))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise SnapshotError(f"{path}:{lineno}: {exc}") from None
     return records
 
 
-def _load_jsonl(text: str, path: Path) -> list[SnapshotRecord]:
-    records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            # the CSV field parser, so both formats share one rule per field
-            fields = [str(obj[key]) for key in SNAPSHOT_COLUMNS[:3]]
-            fields += [str(obj.get(key, "")) for key in SNAPSHOT_COLUMNS[3:]]
-            records.append(_record_from_fields(fields))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(f"{path}:{lineno}: {exc}") from None
-    return records
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write a header and rows as CSV: UTF-8, LF line endings, minimal quoting."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_snapshot(records: Iterable[SnapshotRecord], path: str | Path) -> None:
-    """Write records as snapshot CSV (UTF-8, LF line endings)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SNAPSHOT_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [rec.node_a, rec.node_b, rec.capacity_sat, rec.base_fee_msat, rec.fee_rate_ppm]
-            )
+    """Write records as snapshot CSV."""
+    rows = ([r.node_a, r.node_b, r.capacity_sat, r.base_fee_msat, r.fee_rate_ppm] for r in records)
+    write_csv(path, SNAPSHOT_COLUMNS, rows)
 
 
 def write_state(g: NetworkGraph, path: str | Path) -> None:
     """Write a graph with balances as extended snapshot CSV, by channel id."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STATE_COLUMNS)
-        for cid in sorted(g.channels):
-            ch = g.channels[cid]
-            writer.writerow(
-                [
-                    g.label(ch.node_a),
-                    g.label(ch.node_b),
-                    ch.capacity,
-                    ch.base_fee_msat,
-                    ch.fee_rate_ppm,
-                    ch.balance_a,
-                    ch.balance_b,
-                ]
-            )
+    rows = (
+        [g.label(ch.node_a), g.label(ch.node_b), ch.capacity, ch.base_fee_msat, ch.fee_rate_ppm,
+         ch.balance_a, ch.balance_b]
+        for _, ch in sorted(g.channels.items())
+    )
+    write_csv(path, STATE_COLUMNS, rows)
+
+
+class _GraphBuilder:
+    """Numbers channels in the order added and nodes in order of first appearance."""
+
+    def __init__(self):
+        self.ids: dict[str, int] = {}
+        self.channels: list[Channel] = []
+
+    def add(self, rec: SnapshotRecord, balance_a: int, balance_b: int) -> None:
+        a = self.ids.setdefault(rec.node_a, len(self.ids))
+        b = self.ids.setdefault(rec.node_b, len(self.ids))
+        self.channels.append(Channel(len(self.channels), a, b, rec.capacity_sat, balance_a, balance_b,
+                                     rec.base_fee_msat, rec.fee_rate_ppm))
+
+    def graph(self) -> NetworkGraph:
+        return NetworkGraph(self.channels, labels=dict(enumerate(self.ids)))
 
 
 def load_state(path: str | Path) -> NetworkGraph:
     """Read an extended snapshot CSV (balances included) into a graph."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
-        raise SnapshotError(f"{path}:1: empty state file")
-    header = [h.strip() for h in rows[0]]
-    if header != STATE_COLUMNS:
-        raise SnapshotError(
-            f"{path}:1: state file needs balances; expected header {','.join(STATE_COLUMNS)}"
-        )
-    ids: dict[str, int] = {}
-    labels: dict[int, str] = {}
-    channels = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
+    builder = _GraphBuilder()
+
+    def add_row(row: list[str]) -> None:
         if len(row) != len(STATE_COLUMNS):
-            raise SnapshotError(f"{path}:{lineno}: expected 7 fields, got {len(row)}")
-        try:
-            rec = _record_from_fields(row[:5])
-            balance_a = _parse_int(row[5], "balance_a_sat")
-            balance_b = _parse_int(row[6], "balance_b_sat")
-            a = _intern_node(rec.node_a, ids, labels)
-            b = _intern_node(rec.node_b, ids, labels)
-            channels.append(
-                Channel(
-                    cid=len(channels),
-                    node_a=a,
-                    node_b=b,
-                    capacity=rec.capacity_sat,
-                    balance_a=balance_a,
-                    balance_b=balance_b,
-                    base_fee_msat=rec.base_fee_msat,
-                    fee_rate_ppm=rec.fee_rate_ppm,
-                )
-            )
-        except ValueError as exc:
-            raise SnapshotError(f"{path}:{lineno}: {exc}") from None
-    return NetworkGraph(channels, labels=labels)
+            raise ValueError(f"expected 7 fields, got {len(row)}")
+        rec = _record_from_fields(row)
+        builder.add(rec, _parse_int(row[5], "balance_a_sat"), _parse_int(row[6], "balance_b_sat"))
 
-
-def _intern_node(name: str, ids: dict[str, int], labels: dict[int, str]) -> int:
-    node = ids.get(name)
-    if node is None:
-        node = len(ids)
-        ids[name] = node
-        labels[node] = name
-    return node
+    header_error = f"state file needs balances; expected header {','.join(STATE_COLUMNS)}"
+    if _read_csv(path, lambda header: header == STATE_COLUMNS, header_error, add_row) is None:
+        raise SnapshotError(f"{path}:1: empty state file")
+    return builder.graph()
 
 
 def allocate_funds_coinflip(records: Sequence[SnapshotRecord], seed: int) -> NetworkGraph:
@@ -213,26 +206,11 @@ def allocate_funds_coinflip(records: Sequence[SnapshotRecord], seed: int) -> Net
     and seed always reproduce the same allocation.
     """
     rng = random.Random(seed)
-    ids: dict[str, int] = {}
-    labels: dict[int, str] = {}
-    channels = []
+    builder = _GraphBuilder()
     for rec in records:
-        a = _intern_node(rec.node_a, ids, labels)
-        b = _intern_node(rec.node_b, ids, labels)
         a_funds = rng.getrandbits(1) == 0
-        channels.append(
-            Channel(
-                cid=len(channels),
-                node_a=a,
-                node_b=b,
-                capacity=rec.capacity_sat,
-                balance_a=rec.capacity_sat if a_funds else 0,
-                balance_b=0 if a_funds else rec.capacity_sat,
-                base_fee_msat=rec.base_fee_msat,
-                fee_rate_ppm=rec.fee_rate_ppm,
-            )
-        )
-    return NetworkGraph(channels, labels=labels)
+        builder.add(rec, rec.capacity_sat if a_funds else 0, 0 if a_funds else rec.capacity_sat)
+    return builder.graph()
 
 
 def liquidity_arcs(g: NetworkGraph) -> dict[int, list[int]]:
@@ -246,52 +224,41 @@ def liquidity_arcs(g: NetworkGraph) -> dict[int, list[int]]:
     return {u: sorted(vs) for u, vs in arcs.items()}
 
 
-def _tarjan_sccs(nodes: Sequence[int], succ: dict[int, list[int]]) -> list[list[int]]:
-    """Strongly connected components, iteratively (snapshot graphs are deep)."""
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
+def _postorder(root: int, succ: dict[int, list[int]], seen: set[int], out: list[int]) -> None:
+    """Depth-first from `root` through nodes not in `seen`: add each to `seen`, and
+    append it to `out` once its successors are done.  Iterative: snapshot graphs are deep."""
+    seen.add(root)
+    stack = [(root, iter(succ[root]))]
+    while stack:
+        v, children = stack[-1]
+        for w in children:
+            if w not in seen:
+                seen.add(w)
+                stack.append((w, iter(succ[w])))
+                break
+        else:
+            stack.pop()
+            out.append(v)
+
+
+def _sccs(nodes: Sequence[int], succ: dict[int, list[int]]) -> list[list[int]]:
+    """Strongly connected components by Kosaraju's two depth-first passes."""
+    finished: list[int] = []
+    seen: set[int] = set()
     for root in nodes:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, child_i = work[-1]
-            if child_i == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            children = succ[v]
-            while child_i < len(children):
-                w = children[child_i]
-                child_i += 1
-                if w not in index:
-                    work[-1] = (v, child_i)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+        if root not in seen:
+            _postorder(root, succ, seen, finished)
+    pred: dict[int, list[int]] = {u: [] for u in nodes}
+    for u in nodes:
+        for w in succ[u]:
+            pred[w].append(u)
+    # latest finish first, what a root reaches backwards that no earlier root took is its component
+    sccs: list[list[int]] = []
+    seen.clear()
+    for root in reversed(finished):
+        if root not in seen:
+            sccs.append([])
+            _postorder(root, pred, seen, sccs[-1])
     return sccs
 
 
@@ -307,8 +274,7 @@ def largest_scc(g: NetworkGraph) -> NetworkGraph:
     nodes = g.nodes()
     if not nodes:
         raise ValueError("largest_scc of an empty graph")
-    arcs = liquidity_arcs(g)
-    sccs = _tarjan_sccs(nodes, arcs)
+    sccs = _sccs(nodes, liquidity_arcs(g))
     best = max(sccs, key=lambda comp: (len(comp), -min(comp)))
     keep = set(best)
     channels = [ch for ch in g.channels.values() if ch.node_a in keep and ch.node_b in keep]

@@ -69,6 +69,8 @@ class SimulationConfig:
             raise ValueError("min_amount must be at least 1")
         if self.max_operations < 0:
             raise ValueError("max_operations must be non-negative")
+        if not (math.isfinite(self.convergence_epsilon) and self.convergence_epsilon >= 0):
+            raise ValueError("convergence_epsilon must be finite and non-negative")
         if self.agreement_mode not in AGREEMENT_MODES:
             raise ValueError(f"agreement_mode must be one of {AGREEMENT_MODES}")
 

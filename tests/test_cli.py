@@ -241,6 +241,9 @@ def test_evaluate_matches_last_simulate_sample(bundle, tmp_path, capsys):
         ["gen", "--nodes", "3", "--degree", "3", "--seed", "1", "-o", "unused.csv"],
         ["gen", "--nodes", "5", "--degree", "2", "--cap-min", "0", "--seed", "1", "-o", "unused.csv"],
         ["gen", "--nodes", "5", "--degree", "2", "--cap-min", "50", "--cap-max", "10", "--seed", "1", "-o", "unused.csv"],
+        ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--epsilon", "nan"],
+        ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--epsilon", "inf"],
+        ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--epsilon", "-0.5"],
     ],
 )
 def test_usage_error_exits_2(argv, capsys):

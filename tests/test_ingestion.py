@@ -24,6 +24,10 @@ def rec(a, b, cap, base=1000, rate=1):
     return SnapshotRecord(a, b, cap, base, rate)
 
 
+HEADER = "node_a,node_b,capacity_sat,base_fee_msat,fee_rate_ppm\n"
+STATE_HEADER = HEADER.rstrip("\n") + ",balance_a_sat,balance_b_sat\n"
+
+
 class TestLoadSnapshot:
     def test_csv_field_mapping(self, tmp_path):
         p = tmp_path / "net.csv"
@@ -107,6 +111,56 @@ class TestLoadSnapshot:
         write_snapshot(records, p)
         assert load_snapshot(p) == records
 
+    def test_jsonl_raw_line_separator_in_node_id(self, tmp_path):
+        # U+2028 is a line break to str.splitlines but not inside a JSON string
+        p = tmp_path / "net.jsonl"
+        lines = [
+            {"node_a": "a\u2028x", "node_b": "b", "capacity_sat": 5000},
+            {"node_a": "b", "node_b": "c", "capacity_sat": 7000},
+        ]
+        p.write_text("".join(json.dumps(o, ensure_ascii=False) + "\n" for o in lines), encoding="utf-8")
+        assert load_snapshot(p) == [rec("a\u2028x", "b", 5000), rec("b", "c", 7000)]
+
+    def test_carriage_return_in_node_id_rejected(self):
+        with pytest.raises(ValueError, match="carriage return"):
+            SnapshotRecord("a\rx", "b", 10)
+
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            # a text file breaks lines at a bare carriage return, so the row ends on line 4
+            pytest.param("net.csv", HEADER + "a,b,10,1000,1\n" + '"a\rx",b,10,1000,1\n', 4, id="csv"),
+            pytest.param("net.jsonl", '{"node_a": "a", "node_b": "b", "capacity_sat": 10}\n'
+                                      '{"node_a": "a\\rx", "node_b": "b", "capacity_sat": 10}\n', 2, id="jsonl"),
+        ],
+    )
+    def test_carriage_return_in_file_names_line(self, tmp_path, name, text, line):
+        p = tmp_path / name
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.raises(SnapshotError, match=f":{line}: a node id may not contain a carriage return"):
+            load_snapshot(p)
+
+
+# line-break characters csv.writer quotes (\n) or leaves bare (the others)
+LINE_BREAK_IDS = [
+    pytest.param("a\nx", id="line-feed"),
+    pytest.param("a\u2028x", id="line-separator"),
+    pytest.param("a\x85x", id="next-line"),
+    pytest.param("a\x1cx", id="file-separator"),
+]
+
+
+@pytest.mark.parametrize("node", LINE_BREAK_IDS)
+def test_line_break_in_node_id_round_trips(tmp_path, node):
+    records = [rec(node, "b", 100), rec("b", "c", 50), rec("c", node, 70, 5, 2)]
+    write_snapshot(records, tmp_path / "net.csv")
+    assert load_snapshot(tmp_path / "net.csv") == records
+    g = allocate_funds_coinflip(records, seed=1)
+    write_state(g, tmp_path / "state.csv")
+    h = load_state(tmp_path / "state.csv")
+    assert h.labels == g.labels
+    assert list(h.channels.values()) == list(g.channels.values())
+
 
 class TestStateRoundtrip:
     def test_roundtrip_preserves_balances(self, tmp_path):
@@ -123,6 +177,19 @@ class TestStateRoundtrip:
         p = tmp_path / "net.csv"
         write_snapshot([rec("a", "b", 100)], p)
         with pytest.raises(SnapshotError, match="balances"):
+            load_state(p)
+
+    def test_oversized_field_names_line(self, tmp_path):
+        # beyond csv.field_size_limit(): a data error, not an uncaught csv.Error
+        p = tmp_path / "state.csv"
+        p.write_text(STATE_HEADER + "a,b,100,1000,1,60,40\n" + "x" * 200_000 + ",b,100,1000,1,60,40\n")
+        with pytest.raises(SnapshotError, match=":3: field larger than field limit"):
+            load_state(p)
+
+    def test_balances_not_summing_to_capacity_name_line(self, tmp_path):
+        p = tmp_path / "state.csv"
+        p.write_text(STATE_HEADER + "a,b,100,1000,1,60,40\n" + "b,c,100,1000,1,60,30\n")
+        with pytest.raises(SnapshotError, match=r":3: channel 1: balances 60\+30 do not sum to capacity 100"):
             load_state(p)
 
 
@@ -161,6 +228,22 @@ def reachable(arcs, start):
                 seen.add(v)
                 queue.append(v)
     return seen
+
+
+@st.composite
+def one_sided_graphs(draw):
+    """Coin-flipped graphs with parallel channels; a twin copy forces tied components."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    specs = draw(st.lists(st.tuples(pair, st.booleans()), min_size=1, max_size=14))
+    copies = ["v", "w"] if draw(st.booleans()) else ["v"]
+    # shuffled, so the twin's nodes may take the smaller ids
+    chans = [(f"{c}{a}", f"{c}{b}", a_funds) for c in copies for (a, b), a_funds in specs]
+    chans = draw(st.permutations(chans))
+    g = allocate_funds_coinflip([rec(a, b, 10) for a, b, _ in chans], seed=0)
+    for ch, (_, _, a_funds) in zip(g.channels.values(), chans):
+        ch.balance_a, ch.balance_b = (ch.capacity, 0) if a_funds else (0, ch.capacity)
+    return g
 
 
 class TestLargestScc:
@@ -211,6 +294,28 @@ class TestLargestScc:
         nodes = scc.nodes()
         for u in nodes:
             assert reachable(arcs, u) >= set(nodes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_sided_graphs())
+    def test_matches_mutual_reachability(self, g):
+        # the oracle: arcs straight from the balances, classes by reachability both ways
+        arcs = {u: set() for u in g.nodes()}
+        for ch in g.channels.values():
+            if ch.balance_a > 0:
+                arcs[ch.node_a].add(ch.node_b)
+            if ch.balance_b > 0:
+                arcs[ch.node_b].add(ch.node_a)
+        reach = {u: reachable(arcs, u) for u in arcs}
+        classes = {frozenset(v for v in reach[u] if u in reach[v]) for u in arcs}
+        largest = max(len(c) for c in classes)
+        best = min((c for c in classes if len(c) == largest), key=min)
+        scc = largest_scc(g)
+        # a single node has no channel to itself, so nothing of it is kept
+        assert scc.nodes() == (sorted(best) if largest > 1 else [])
+        assert list(scc.channels.values()) == [
+            ch for ch in g.channels.values() if ch.node_a in best and ch.node_b in best
+        ]
+        assert scc.labels == {u: g.labels[u] for u in scc.nodes()}
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
