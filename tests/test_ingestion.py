@@ -121,10 +121,6 @@ class TestLoadSnapshot:
         p.write_text("".join(json.dumps(o, ensure_ascii=False) + "\n" for o in lines), encoding="utf-8")
         assert load_snapshot(p) == [rec("a\u2028x", "b", 5000), rec("b", "c", 7000)]
 
-    def test_carriage_return_in_node_id_rejected(self):
-        with pytest.raises(ValueError, match="carriage return"):
-            SnapshotRecord("a\rx", "b", 10)
-
     @pytest.mark.parametrize(
         "name, text, line",
         [
