@@ -41,6 +41,7 @@ from .ingestion import (
     SnapshotError,
     allocate_funds_coinflip,
     generate_synthetic,
+    is_jsonl,
     largest_scc,
     load_snapshot,
     load_state,
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--cap-min", type=int, default=10_000)
     gen.add_argument("--cap-max", type=int, default=10_000_000)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("-o", "--output", required=True)
+    gen.add_argument("-o", "--output", required=True, help="snapshot CSV (not .jsonl or .json)")
     gen.set_defaults(func=cmd_gen)
 
     sim = sub.add_parser("simulate", help="run the rebalancing simulation")
@@ -127,6 +128,8 @@ def cmd_gen(args) -> int:
         raise UsageError("--nodes must be at least --degree + 1")
     if args.cap_min < 1 or args.cap_max < args.cap_min:
         raise UsageError("capacity range must satisfy 1 <= cap-min <= cap-max")
+    if is_jsonl(args.output):
+        raise UsageError("-o must not end in .jsonl or .json: gen writes CSV")
     records = generate_synthetic(args.nodes, args.degree, (args.cap_min, args.cap_max), args.seed)
     write_snapshot(records, args.output)
     print(f"wrote {len(records)} channels over {args.nodes} nodes to {args.output}")

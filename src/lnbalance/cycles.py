@@ -1,13 +1,15 @@
 """Candidate rebalancing cycle enumeration under four selection strategies.
 
-A cycle candidate always starts with the directed hop the initiator wants
-to drain and returns to the initiator through distinct nodes and channels.
+A candidate is a plain tuple of ``(sender, receiver, channel id)`` hops
+that starts with the hop the initiator wants to drain and returns to the
+initiator through distinct nodes and channels.
 ``cycle4``/``cycle5`` enumerate all simple cycles of at most 4/5 hops;
 ``foaf`` (and ``mpp``, which shares its cycle set and only splits amounts)
 searches up to 6 hops but stays inside the initiator's friend-of-a-friend
 node set.  Enumeration is a pure read of the topology: shortest cycles
 first, lexicographic by hop within a length, so truncating at a cap is
-reproducible.
+reproducible.  The simulation kernel validates a candidate as a
+:class:`~lnbalance.model.RebalanceCycle` only when it executes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 
-from .model import NetworkGraph, RebalanceCycle
+from .model import NetworkGraph
+
+Hops = tuple[tuple[int, int, int], ...]
 
 
 class Strategy(Enum):
@@ -45,11 +49,14 @@ def foaf_node_set(g: NetworkGraph, u: int) -> set[int]:
     return out
 
 
-def _bfs_distances(g: NetworkGraph, target: int, allowed: set[int] | None) -> dict[int, int]:
+def _bfs_distances(g: NetworkGraph, target: int, allowed: set[int] | None, limit: int) -> dict[int, int]:
+    """Hop distance to `target` of every node within `limit` hops; farther nodes are missing."""
     dist = {target: 0}
     queue = deque([target])
     while queue:
         v = queue.popleft()
+        if dist[v] == limit:
+            break  # every node still queued is as far as v
         for _, nb in g.incident(v):
             if nb in dist or (allowed is not None and nb not in allowed):
                 continue
@@ -64,78 +71,39 @@ def enumerate_cycles(
     cid: int,
     strategy: Strategy,
     cap: int,
-) -> list[RebalanceCycle]:
-    """Simple cycles starting with the hop initiator->peer on channel `cid`.
+) -> list[Hops]:
+    """Simple cycles, as hop tuples, starting with the hop initiator->peer on channel `cid`.
 
     Returns at most `cap` cycles, shortest first.  Within each length
     the order is lexicographic by hop: at each hop by (next node, channel
     id), so with parallel channels the channel taken at an earlier hop
     outranks the nodes reached later.  Length counts hops; two-hop cycles
-    exist only through parallel channels.
+    exist only through parallel channels.  One depth-first pass in that
+    order keeps at most `cap` cycles per length.
     """
     if cap < 1:
         raise ValueError("cycle cap must be at least 1")
     v = g.channel(cid).peer(initiator)
-    if strategy.foaf_restricted:
-        allowed = foaf_node_set(g, initiator)
-        max_len = DEFAULT_FOAF_MAX_LEN
-    else:
-        allowed = None
-        max_len = 4 if strategy is Strategy.CYCLE4 else 5
-    dist = _bfs_distances(g, initiator, allowed)
-    out: list[RebalanceCycle] = []
-    for length in range(2, max_len + 1):
-        if len(out) >= cap:
-            break
-        _collect_exact_length(g, initiator, cid, v, length, dist, out, cap)
-    return out
-
-
-def _collect_exact_length(
-    g: NetworkGraph,
-    initiator: int,
-    first_cid: int,
-    v: int,
-    length: int,
-    dist: dict[int, int],
-    out: list[RebalanceCycle],
-    cap: int,
-) -> None:
-    """Append all cycles of exactly `length` hops, lexicographic by hop."""
-    path = [initiator, v]
-    cids = [first_cid]
+    allowed = foaf_node_set(g, initiator) if strategy.foaf_restricted else None
+    max_len = {Strategy.CYCLE4: 4, Strategy.CYCLE5: 5}.get(strategy, DEFAULT_FOAF_MAX_LEN)
+    dist = _bfs_distances(g, initiator, allowed, max_len - 2)
+    by_length: list[list[Hops]] = [[] for _ in range(max_len + 1)]
+    hops = [(initiator, v, cid)]
     on_path = {initiator, v}
 
-    def emit(closing_cid: int) -> None:
-        hops = [(path[i], path[i + 1], cids[i]) for i in range(len(path) - 1)]
-        hops.append((path[-1], initiator, closing_cid))
-        out.append(RebalanceCycle(initiator, tuple(hops)))
-
-    def extend(current: int, hops_used: int) -> bool:
-        """Depth-first; returns True once the cap is reached."""
-        if hops_used == length - 1:
-            for nb, cc in g.incident_by_neighbor(current):
-                if nb != initiator or cc == first_cid:
-                    continue
-                emit(cc)
-                if len(out) >= cap:
-                    return True
-            return False
-        budget = length - hops_used - 1
+    def extend(current: int) -> None:
+        closed = by_length[len(hops) + 1]
+        budget = max_len - len(hops) - 1  # hops left to close after the next one
         for nb, cc in g.incident_by_neighbor(current):
-            if nb in on_path:
-                continue
-            if dist.get(nb, budget + 1) > budget:
-                continue
-            path.append(nb)
-            cids.append(cc)
-            on_path.add(nb)
-            stop = extend(nb, hops_used + 1)
-            path.pop()
-            cids.pop()
-            on_path.discard(nb)
-            if stop:
-                return True
-        return False
+            if nb == initiator:
+                if cc != cid and len(closed) < cap:
+                    closed.append((*hops, (current, initiator, cc)))
+            elif nb not in on_path and dist.get(nb, budget + 1) <= budget:
+                hops.append((current, nb, cc))
+                on_path.add(nb)
+                extend(nb)
+                hops.pop()
+                on_path.discard(nb)
 
-    extend(v, 1)
+    extend(v)
+    return [c for cycles in by_length for c in cycles][:cap]

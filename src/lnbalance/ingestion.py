@@ -107,15 +107,20 @@ def _read_csv(path: Path, header_ok: Callable[[list[str]], bool], header_error: 
             raise SnapshotError(f"{path}:{reader.line_num}: {exc}") from None
 
 
+def is_jsonl(path: str | Path) -> bool:
+    """True when the suffix of `path` is ``.jsonl`` or ``.json``, in any case."""
+    return Path(path).suffix.lower() in (".jsonl", ".json")
+
+
 def load_snapshot(path: str | Path) -> list[SnapshotRecord]:
     """Read snapshot records in file order; duplicates stay parallel channels.
 
-    The format follows the file suffix: ``.jsonl``/``.json`` means JSONL,
+    The format follows the file suffix: JSONL where :func:`is_jsonl`,
     anything else CSV.  Malformed rows raise :class:`SnapshotError`
     naming the line number.
     """
     path = Path(path)
-    if path.suffix.lower() in (".jsonl", ".json"):
+    if is_jsonl(path):
         return _load_jsonl(path)
     header_error = f"expected header starting with {','.join(SNAPSHOT_COLUMNS)}"
     return _read_csv(path, lambda header: header[: len(SNAPSHOT_COLUMNS)] == SNAPSHOT_COLUMNS,
@@ -149,7 +154,9 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
 
 
 def write_snapshot(records: Iterable[SnapshotRecord], path: str | Path) -> None:
-    """Write records as snapshot CSV."""
+    """Write records as snapshot CSV; a JSONL name (see :func:`is_jsonl`) raises ValueError."""
+    if is_jsonl(path):
+        raise ValueError(f"{path}: a snapshot is written as CSV; its name may not end in .jsonl or .json")
     rows = ([r.node_a, r.node_b, r.capacity_sat, r.base_fee_msat, r.fee_rate_ppm] for r in records)
     write_csv(path, SNAPSHOT_COLUMNS, rows)
 

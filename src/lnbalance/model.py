@@ -164,7 +164,7 @@ class NetworkGraph:
 
 @dataclass(frozen=True)
 class RebalanceCycle:
-    """Directed circular payment path rooted at an initiator.
+    """Directed circular payment path rooted at an initiator, built per executed payment.
 
     `hops` is a sequence of (sender, receiver, channel id) triples forming
     a simple directed cycle: the first sender and the last receiver are the

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from .cycles import Strategy, enumerate_cycles
+from .cycles import Hops, Strategy, enumerate_cycles
 from .model import (
     InvariantViolation,
     NetworkGraph,
@@ -269,23 +269,23 @@ def record_fees(ledger: FeeLedger, g: NetworkGraph, cycle: RebalanceCycle, amoun
 
 def attempt_rebalance(
     g: NetworkGraph,
-    cycle: RebalanceCycle,
+    hops: Hops,
     config: SimulationConfig,
     ledger: FeeLedger,
     totals: Mapping[int, tuple[int, int]],
-) -> int | None:
-    """Try one circular rebalance; returns the executed amount or None.
+) -> tuple[RebalanceCycle, int] | None:
+    """Try one circular rebalance; returns the executed cycle and amount, or None.
 
-    The initiator u drains its channel on the cycle's first hop.  `totals`
+    The initiator u drains its channel on the first of `hops`.  `totals`
     maps each cycle node to its (tau, kappa) from `node_totals`.  The sink
     condition is checked unless the config waives it (easier path finding
     at the cost of small oscillations), u proposes its desired amount, and
     every intermediate node caps it by its agreement rule.  The amount
     never exceeds u's balance on the first hop, because no rule raises it.
-    Only then is the payment applied atomically, checked, and its fees
+    Only then is the `RebalanceCycle` built (a malformed one raises
+    `ValueError`), the payment applied atomically, checked, and its fees
     recorded.  Declines leave the state untouched.
     """
-    hops = cycle.hops
     u, _, cid = hops[0]
     if config.require_sink_condition and not check_sink_condition(g, u, hops[-1][2], totals[u]):
         return None
@@ -297,6 +297,7 @@ def attempt_rebalance(
         amount = max_agreeable_amount(g, x, in_cid, out_cid, amount, totals[x], config.agreement_mode)
         if amount < config.min_amount:
             return None
+    cycle = RebalanceCycle(u, hops)
     gini_before = None
     if config.agreement_mode == "gini":
         gini_before = {x: node_gini(g, x) for x in cycle.nodes[1:]}
@@ -305,12 +306,12 @@ def attempt_rebalance(
     record_fees(ledger, g, cycle, amount)
     if ledger.total() != 0:
         raise InvariantViolation("fee ledger lost zero-sum")
-    return amount
+    return cycle, amount
 
 
 def _check_executed(
     g: NetworkGraph,
-    hops: tuple[tuple[int, int, int], ...],
+    hops: Hops,
     totals: Mapping[int, tuple[int, int]],
     gini_before: Mapping[int, float] | None,
 ) -> None:
@@ -374,7 +375,7 @@ def run_simulation(
     operations: list[OperationRecord] = []
     samples = [take_sample(0)]
     best_grid = math.floor(imbalance * 100 + 1e-9)
-    cycle_cache: dict[tuple[int, int], list[RebalanceCycle]] = {}
+    cycle_cache: dict[tuple[int, int], list[Hops]] = {}
     ops = 0
     capped = False
     while not capped:
@@ -400,15 +401,16 @@ def run_simulation(
             indices = list(range(len(cyc)))
             rng.shuffle(indices)
             for i in indices:
-                amount = attempt_rebalance(g, cyc[i], config, ledger, totals)
-                if amount is None:
+                executed = attempt_rebalance(g, cyc[i], config, ledger, totals)
+                if executed is None:
                     continue
+                cycle, amount = executed
                 ops += 1
                 ops_this_sweep += 1
-                for x in cyc[i].nodes:
+                for x in cycle.nodes:
                     ginis[x] = node_gini(g, x)
                 imbalance = sum(ginis.values()) / len(nodes)
-                operations.append(OperationRecord(ops, u, cyc[i], amount, imbalance))
+                operations.append(OperationRecord(ops, u, cycle, amount, imbalance))
                 grid = math.floor(imbalance * 100 + 1e-9)
                 if grid < best_grid:
                     best_grid = grid

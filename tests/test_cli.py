@@ -244,6 +244,7 @@ def test_evaluate_matches_last_simulate_sample(bundle, tmp_path, capsys):
         ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--epsilon", "nan"],
         ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--epsilon", "inf"],
         ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--epsilon", "-0.5"],
+        ["gen", "--nodes", "10", "--degree", "2", "--seed", "1", "-o", "unused.jsonl"],
     ],
 )
 def test_usage_error_exits_2(argv, capsys):
@@ -300,6 +301,15 @@ def test_evaluate_nonempty_outdir_exits_2_and_is_kept(tmp_path, capsys):
 def test_missing_parent_exits_3_and_creates_nothing(argv, snapshot, bundle, tmp_path, capsys):
     assert main(argv(snapshot, bundle / "final_state.csv", tmp_path / "a" / "b" / "out")) == 3
     assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["s.jsonl", "s.JSON"])
+def test_gen_refuses_a_jsonl_name_before_writing(tmp_path, name, capsys):
+    # simulate would read such a file as JSONL, but gen writes CSV
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--nodes", "10", "--degree", "2", "--seed", "1", "-o", str(tmp_path / name)])
+    assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
 
 

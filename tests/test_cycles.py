@@ -49,27 +49,44 @@ def brute_force_cycles(g, initiator, cid, max_len):
     return {c for c in found}
 
 
-def hop_set(cycles):
-    return {c.hops for c in cycles}
+ORACLE_CAPS = (1, 2, 3, 7, 10_000)
+
+
+def ordered_oracle(g, initiator, cid, strategy, cap):
+    """The exhaustive cycles sorted shortest first, then by (receiver, channel) per hop, cut at `cap`."""
+    if strategy.foaf_restricted:
+        allowed = foaf_node_set(g, initiator)
+        found = {c for c in brute_force_cycles(g, initiator, cid, 6) if all(s in allowed for s, _, _ in c)}
+    else:
+        found = brute_force_cycles(g, initiator, cid, 4 if strategy is Strategy.CYCLE4 else 5)
+    ordered = sorted(found, key=lambda c: (len(c), tuple((recv, ch) for _, recv, ch in c)))
+    return ordered[:cap]
+
+
+def assert_matches_ordered_oracle(g, initiator, cid, strategies):
+    for strategy in strategies:
+        for cap in ORACLE_CAPS:
+            got = enumerate_cycles(g, initiator, cid, strategy, cap)
+            assert got == ordered_oracle(g, initiator, cid, strategy, cap), (strategy, cap)
 
 
 class TestTriangleAndCliques:
     def test_triangle_single_cycle(self):
         cycles = enumerate_cycles(triangle(), 0, 0, Strategy.CYCLE4, cap=100)
-        assert hop_set(cycles) == {((0, 1, 0), (1, 2, 1), (2, 0, 2))}
+        assert set(cycles) == {((0, 1, 0), (1, 2, 1), (2, 0, 2))}
 
     def test_four_clique_counts(self):
         g = clique(4)
         # through the directed hop 0->1: two triangles plus two quadrilaterals
         cycles = enumerate_cycles(g, 0, 0, Strategy.CYCLE4, cap=100)
         assert len(cycles) == 4
-        assert [len(c.hops) for c in cycles] == [3, 3, 4, 4]
+        assert [len(c) for c in cycles] == [3, 3, 4, 4]
 
     def test_cap_truncates(self):
         g = clique(4)
         cycles = enumerate_cycles(g, 0, 0, Strategy.CYCLE4, cap=1)
         assert len(cycles) == 1
-        assert len(cycles[0].hops) == 3  # shortest first
+        assert len(cycles[0]) == 3  # shortest first
 
     def test_path_graph_has_no_cycles(self):
         g = graph_from_edges([(0, 1), (1, 2), (2, 3)])
@@ -78,7 +95,7 @@ class TestTriangleAndCliques:
     def test_parallel_channels_make_two_hop_cycles(self):
         g = graph_from_edges([(0, 1), (0, 1)])
         cycles = enumerate_cycles(g, 0, 0, Strategy.CYCLE4, cap=10)
-        assert hop_set(cycles) == {((0, 1, 0), (1, 0, 1))}
+        assert set(cycles) == {((0, 1, 0), (1, 0, 1))}
 
     def test_unknown_channel(self):
         with pytest.raises(KeyError):
@@ -92,15 +109,15 @@ class TestTriangleAndCliques:
     def test_first_hop_fixed(self):
         g = clique(4)
         for c in enumerate_cycles(g, 0, 0, Strategy.CYCLE5, cap=100):
-            assert c.hops[0] == (0, 1, 0)
-            assert c.hops[-1][1] == 0
+            assert c[0] == (0, 1, 0)
+            assert c[-1][1] == 0
 
     def test_order_is_neighbor_then_channel_at_each_hop(self):
         # channels 1 and 2 are parallel: node sequences repeat, and the
         # channel taken at hop 2 outranks the node reached at hop 3
         g = graph_from_edges([(0, 1), (1, 2), (1, 2), (2, 3), (2, 4), (3, 0), (4, 0)])
         cycles = enumerate_cycles(g, 0, 0, Strategy.CYCLE4, cap=100)
-        assert [(c.nodes, c.channel_ids) for c in cycles] == [
+        assert [(tuple(s for s, _, _ in c), tuple(ch for _, _, ch in c)) for c in cycles] == [
             ((0, 1, 2, 3), (0, 1, 3, 5)),
             ((0, 1, 2, 4), (0, 1, 4, 6)),
             ((0, 1, 2, 3), (0, 2, 3, 5)),
@@ -112,7 +129,7 @@ class TestTriangleAndCliques:
         a = enumerate_cycles(g, 0, 0, Strategy.CYCLE5, cap=50)
         b = enumerate_cycles(g, 0, 0, Strategy.CYCLE5, cap=50)
         assert a == b
-        lengths = [len(c.hops) for c in a]
+        lengths = [len(c) for c in a]
         assert lengths == sorted(lengths)
 
 
@@ -154,9 +171,16 @@ class TestBruteForceEquivalence:
         rng = random.Random(seed + 1)
         cid = rng.randrange(g.num_channels())
         u = g.channels[cid].node_a
-        for strategy, max_len in ((Strategy.CYCLE4, 4), (Strategy.CYCLE5, 5)):
-            got = hop_set(enumerate_cycles(g, u, cid, strategy, cap=10_000))
-            assert got == brute_force_cycles(g, u, cid, max_len)
+        assert_matches_ordered_oracle(g, u, cid, (Strategy.CYCLE4, Strategy.CYCLE5))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_foaf_mpp_match_exhaustive_dfs_in_foaf_set(self, seed):
+        g = random_graph(seed)
+        rng = random.Random(seed + 5)
+        cid = rng.randrange(g.num_channels())
+        u = g.channels[cid].node_b
+        assert_matches_ordered_oracle(g, u, cid, (Strategy.FOAF, Strategy.MPP))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
@@ -165,9 +189,9 @@ class TestBruteForceEquivalence:
         rng = random.Random(seed + 2)
         cid = rng.randrange(g.num_channels())
         u = g.channels[cid].node_a
-        c4 = hop_set(enumerate_cycles(g, u, cid, Strategy.CYCLE4, cap=10_000))
-        c5 = hop_set(enumerate_cycles(g, u, cid, Strategy.CYCLE5, cap=10_000))
-        foaf = hop_set(enumerate_cycles(g, u, cid, Strategy.FOAF, cap=10_000))
+        c4 = set(enumerate_cycles(g, u, cid, Strategy.CYCLE4, cap=10_000))
+        c5 = set(enumerate_cycles(g, u, cid, Strategy.CYCLE5, cap=10_000))
+        foaf = set(enumerate_cycles(g, u, cid, Strategy.FOAF, cap=10_000))
         unbounded = brute_force_cycles(g, u, cid, max_len=g.num_nodes())
         assert c4 <= c5 <= unbounded
         assert c4 <= foaf
@@ -192,5 +216,5 @@ class TestBruteForceEquivalence:
         u = g.channels[cid].node_a
         allowed = foaf_node_set(g, u)
         for c in enumerate_cycles(g, u, cid, Strategy.FOAF, cap=10_000):
-            assert set(c.nodes) <= allowed
-            assert len(c.hops) <= 6
+            assert {s for s, _, _ in c} <= allowed
+            assert len(c) <= 6

@@ -15,7 +15,7 @@ from lnbalance.evaluation import (
     ks_distance,
 )
 from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic
-from lnbalance.model import Channel, NetworkGraph, apply_circular_payment, network_imbalance
+from lnbalance.model import Channel, NetworkGraph, RebalanceCycle, apply_circular_payment, network_imbalance
 
 
 def make_graph(specs):
@@ -310,10 +310,10 @@ class TestRouteCache:
             cycles = enumerate_cycles(g, u, cid, Strategy.CYCLE5, 50)
             if not cycles:
                 continue
-            cycle = rng.choice(cycles)
-            room = min(g.channels[c].balance(sender) for sender, _, c in cycle.hops)
+            hops = rng.choice(cycles)
+            room = min(g.channels[c].balance(sender) for sender, _, c in hops)
             if room >= 1:
-                apply_circular_payment(g, cycle, rng.randint(1, room))
+                apply_circular_payment(g, RebalanceCycle(u, hops), rng.randint(1, room))
 
     def test_other_graph_is_rejected(self):
         specs = [(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)]

@@ -111,6 +111,12 @@ class TestLoadSnapshot:
         write_snapshot(records, p)
         assert load_snapshot(p) == records
 
+    def test_write_refuses_a_name_load_reads_as_jsonl(self, tmp_path):
+        p = tmp_path / "net.jsonl"
+        with pytest.raises(ValueError, match="written as CSV"):
+            write_snapshot([rec("a", "b", 100)], p)
+        assert not p.exists()
+
     def test_jsonl_raw_line_separator_in_node_id(self, tmp_path):
         # U+2028 is a line break to str.splitlines but not inside a JSON string
         p = tmp_path / "net.jsonl"

@@ -44,8 +44,11 @@ def skewed_triangle():
     return make_graph([(0, 1, 10, 10), (1, 2, 10, 10), (2, 0, 10, 10)])
 
 
+TRIANGLE_HOPS = ((0, 1, 0), (1, 2, 1), (2, 0, 2))
+
+
 def triangle_cycle():
-    return RebalanceCycle(0, ((0, 1, 0), (1, 2, 1), (2, 0, 2)))
+    return RebalanceCycle(0, TRIANGLE_HOPS)
 
 
 def totals_of(g):
@@ -197,7 +200,8 @@ class TestAttemptRebalance:
     def test_triangle_executes_five(self):
         g = skewed_triangle()
         ledger = FeeLedger()
-        amount = attempt_rebalance(g, triangle_cycle(), config(), ledger, totals_of(g))
+        cycle, amount = attempt_rebalance(g, TRIANGLE_HOPS, config(), ledger, totals_of(g))
+        assert cycle == triangle_cycle()
         assert amount == 5
         assert network_imbalance(g) == 0.0
         for u in g.nodes():
@@ -208,13 +212,13 @@ class TestAttemptRebalance:
         # node 1 has nothing on its outgoing channel
         g = make_graph([(0, 1, 10, 10), (1, 2, 10, 0), (2, 0, 10, 10)])
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
-        outcome = attempt_rebalance(g, triangle_cycle(), config(), FeeLedger(), totals_of(g))
+        outcome = attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g))
         assert outcome is None
         assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
 
     def test_declines_on_zero_desired(self):
         g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)])
-        assert attempt_rebalance(g, triangle_cycle(), config(), FeeLedger(), totals_of(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g)) is None
 
     def test_sink_condition_blocks(self):
         # initiator's receiving side of the last channel sits above its nu
@@ -224,22 +228,39 @@ class TestAttemptRebalance:
             )
 
         g = build()
-        assert attempt_rebalance(g, triangle_cycle(), config(), FeeLedger(), totals_of(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g)) is None
         relaxed = config(require_sink_condition=False)
         g = build()
-        assert attempt_rebalance(g, triangle_cycle(), relaxed, FeeLedger(), totals_of(g)) == 2
+        assert attempt_rebalance(g, TRIANGLE_HOPS, relaxed, FeeLedger(), totals_of(g))[1] == 2
 
     def test_min_amount_threshold(self):
         g = skewed_triangle()
         cfg = config(min_amount=6)
-        assert attempt_rebalance(g, triangle_cycle(), cfg, FeeLedger(), totals_of(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, cfg, FeeLedger(), totals_of(g)) is None
 
     def test_mpp_splits_amount(self):
         g = make_graph([(0, 1, 1000, 1000), (1, 2, 1000, 1000), (2, 0, 1000, 1000)])
         cfg = config(strategy=Strategy.MPP, mpp_divisor=20)
         ledger = FeeLedger()
-        amount = attempt_rebalance(g, triangle_cycle(), cfg, ledger, totals_of(g))
+        _, amount = attempt_rebalance(g, TRIANGLE_HOPS, cfg, ledger, totals_of(g))
         assert amount == 25  # desired 500 split by 20
+
+    def test_malformed_hops_rejected_before_any_mutation(self):
+        # a figure eight through initiator 0: every rule agrees to 5, but
+        # the initiator reappears mid-cycle, which RebalanceCycle rejects
+        g = make_graph([(0, 1, 10, 10), (0, 1, 10, 0), (0, 2, 10, 10), (0, 2, 10, 0)])
+        hops = ((0, 1, 0), (1, 0, 1), (0, 2, 2), (2, 0, 3))
+        totals = totals_of(g)
+        assert check_sink_condition(g, 0, 3, totals[0])
+        assert desired_amount(g, 0, 0, totals[0]) == 5
+        for (_, _, in_cid), (x, _, out_cid) in zip(hops, hops[1:]):
+            assert max_agreeable_amount(g, x, in_cid, out_cid, 5, totals[x]) == 5
+        before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
+        ledger = FeeLedger()
+        with pytest.raises(ValueError, match="^initiator may appear only at the cycle ends$"):
+            attempt_rebalance(g, hops, config(), ledger, totals)
+        assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
+        assert [ledger.net(u) for u in g.nodes()] == [0, 0, 0]
 
 
 def _unbalance_first_channel(apply):
@@ -301,7 +322,7 @@ def test_post_condition_catches_faulty_execution(monkeypatch, specs, mode, targe
     g = make_graph(specs) if specs else skewed_triangle()
     monkeypatch.setattr(rebalancer, target, fault(getattr(rebalancer, target)))
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
-        attempt_rebalance(g, triangle_cycle(), config(agreement_mode=mode), FeeLedger(), totals_of(g))
+        attempt_rebalance(g, TRIANGLE_HOPS, config(agreement_mode=mode), FeeLedger(), totals_of(g))
 
 
 class TestRunSimulation:
@@ -427,10 +448,11 @@ def reference_simulation(g, config):
             indices = list(range(len(cycles)))
             rng.shuffle(indices)
             for i in indices:
-                totals = {x: node_totals(g, x) for x in cycles[i].nodes}
-                amount = attempt_rebalance(g, cycles[i], config, ledger, totals)
-                if amount is not None:
-                    ops.append((len(ops) + 1, u, cycles[i], amount, network_imbalance(g)))
+                totals = {x: node_totals(g, x) for x, _, _ in cycles[i]}
+                executed = attempt_rebalance(g, cycles[i], config, ledger, totals)
+                if executed is not None:
+                    cycle, amount = executed
+                    ops.append((len(ops) + 1, u, cycle, amount, network_imbalance(g)))
                     executed_this_sweep = True
                     break
         if not executed_this_sweep:
