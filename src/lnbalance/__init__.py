@@ -7,7 +7,6 @@ from .evaluation import (
     EvaluationReport,
     RouteCache,
     evaluate_network,
-    gini_distribution,
     ks_distance,
 )
 from .ingestion import (
@@ -25,6 +24,7 @@ from .model import (
     NetworkGraph,
     RebalanceCycle,
     apply_circular_payment,
+    gini_distribution,
     network_imbalance,
     node_gini,
 )

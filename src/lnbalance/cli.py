@@ -12,6 +12,9 @@ existing `--outdir` must be an empty directory: a non-empty one exits 2
 before any input is read, and a file exits 3.  Neither command creates
 missing parent directories; a missing parent exits 3 and creates nothing.
 
+`simulate` stores each flag under the name of its `SimulationConfig`
+field and takes every default from `SimulationConfig`.
+
 `simulate` evaluates the network once per metrics sample, and every
 sample reuses the cheapest-path trees built for the run's graph at the
 first one.  Evaluation is single-threaded; there is no `--threads` flag.
@@ -50,7 +53,7 @@ from .ingestion import (
     write_state,
 )
 from .model import InvariantViolation, NetworkGraph
-from .rebalancer import SimulationConfig, SimulationResult, run_simulation
+from .rebalancer import AGREEMENT_MODES, SimulationConfig, SimulationResult, run_simulation
 
 SIMULATE_OUTPUTS = [
     "manifest.json",
@@ -82,18 +85,20 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--output", required=True, help="snapshot CSV (not .jsonl or .json)")
     gen.set_defaults(func=cmd_gen)
 
-    sim = sub.add_parser("simulate", help="run the rebalancing simulation")
+    # an omitted flag leaves its SimulationConfig field at the field's default
+    sim = sub.add_parser("simulate", help="run the rebalancing simulation",
+                         argument_default=argparse.SUPPRESS)
     sim.add_argument("-i", "--input", required=True, help="snapshot CSV or JSONL")
     sim.add_argument("--strategy", choices=[s.value for s in Strategy], required=True)
     sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--cycle-cap", type=int, default=5000)
-    sim.add_argument("--agreement", choices=["band", "gini"], default="band")
-    sim.add_argument("--mpp-divisor", type=int, default=20)
-    sim.add_argument("--min-amount", type=int, default=1)
-    sim.add_argument("--max-operations", type=int, default=1_000_000)
-    sim.add_argument("--epsilon", type=float, default=0.01,
+    sim.add_argument("--cycle-cap", type=int)
+    sim.add_argument("--agreement", dest="agreement_mode", choices=AGREEMENT_MODES)
+    sim.add_argument("--mpp-divisor", type=int)
+    sim.add_argument("--min-amount", type=int)
+    sim.add_argument("--max-operations", type=int)
+    sim.add_argument("--epsilon", dest="convergence_epsilon", type=float, metavar="EPSILON",
                      help="node Gini below this counts as even enough")
-    sim.add_argument("--relax-sink", action="store_true",
+    sim.add_argument("--relax-sink", dest="require_sink_condition", action="store_false",
                      help="drop the sink-side condition on cycle ends")
     sim.add_argument("-o", "--outdir", required=True)
     sim.set_defaults(func=cmd_simulate)
@@ -137,18 +142,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    fields = {f.name for f in dataclasses.fields(SimulationConfig)}
     try:
-        config = SimulationConfig(
-            seed=args.seed,
-            strategy=Strategy(args.strategy),
-            cycle_cap=args.cycle_cap,
-            agreement_mode=args.agreement,
-            require_sink_condition=not args.relax_sink,
-            mpp_divisor=args.mpp_divisor,
-            min_amount=args.min_amount,
-            max_operations=args.max_operations,
-            convergence_epsilon=args.epsilon,
-        )
+        config = SimulationConfig(**{k: v for k, v in vars(args).items() if k in fields})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     with _published(args.outdir) as bundle:

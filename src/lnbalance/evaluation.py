@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import NetworkGraph, node_gini
+from .model import NetworkGraph, gini_distribution
 
 
 @dataclass
@@ -155,14 +155,6 @@ def ks_distance(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
     return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def gini_distribution(g: NetworkGraph) -> list[float]:
-    """Per-node Gini values in node-id order."""
-    nodes = g.nodes()
-    if not nodes:
-        raise ValueError("gini distribution of an empty graph")
-    return [node_gini(g, u) for u in nodes]
 
 
 def cdf_points(values: Sequence[float]) -> list[tuple[float, float]]:

@@ -6,7 +6,8 @@ imbalance is the Gini coefficient of its channel balance coefficients
 (its relative funds per channel); the network imbalance is the mean of
 the per-node Gini values.  The only mutation of the world state is the
 atomic circular payment, which shifts the same amount along every hop of
-a cycle and therefore leaves every node's total funds unchanged.
+a cycle and therefore leaves every node's total funds unchanged:
+:func:`apply_circular_payment` is the one function that writes a balance.
 """
 
 from __future__ import annotations
@@ -75,27 +76,6 @@ class Channel:
         """Channel balance coefficient of `node`: its balance over the capacity."""
         return self.balance(node) / self.capacity
 
-    def shift(self, sender: int, amount: int) -> None:
-        """Move `amount` satoshi from the sender's side to the peer's side."""
-        if amount < 0:
-            raise ValueError("shift amount must be non-negative")
-        if sender == self.node_a:
-            if self.balance_a < amount:
-                raise InsufficientBalanceError(
-                    f"channel {self.cid}: node {sender} holds {self.balance_a} < {amount}"
-                )
-            self.balance_a -= amount
-            self.balance_b += amount
-        elif sender == self.node_b:
-            if self.balance_b < amount:
-                raise InsufficientBalanceError(
-                    f"channel {self.cid}: node {sender} holds {self.balance_b} < {amount}"
-                )
-            self.balance_b -= amount
-            self.balance_a += amount
-        else:
-            raise ValueError(f"node {sender} is not an endpoint of channel {self.cid}")
-
 
 class NetworkGraph:
     """Node and channel store with adjacency; the single mutable world state.
@@ -104,9 +84,9 @@ class NetworkGraph:
     original string ids for reporting.  The nodes are exactly the channel
     endpoints, so every node has at least one channel.  Channels are keyed
     by their id and parallel channels between the same pair of nodes are
-    kept distinct.  All balance mutation goes through
-    :func:`apply_circular_payment` (single-writer discipline; metric reads
-    must not interleave with it).
+    kept distinct.  :func:`apply_circular_payment` is the only code that
+    writes a balance (single-writer discipline; metric reads must not
+    interleave with it).
     """
 
     def __init__(self, channels: Iterable[Channel], labels: Mapping[int, str] | None = None):
@@ -241,12 +221,18 @@ def node_gini(g: NetworkGraph, u: int) -> float:
     return gini([g.channels[cid].zeta(u) for cid, _ in g.incident(u)])
 
 
-def network_imbalance(g: NetworkGraph) -> float:
-    """Mean of the per-node Gini values; the minimization objective."""
+def gini_distribution(g: NetworkGraph) -> list[float]:
+    """Per-node Gini values in node-id order."""
     nodes = g.nodes()
     if not nodes:
-        raise ValueError("imbalance of an empty graph")
-    return sum(node_gini(g, u) for u in nodes) / len(nodes)
+        raise ValueError("gini distribution of an empty graph")
+    return [node_gini(g, u) for u in nodes]
+
+
+def network_imbalance(g: NetworkGraph) -> float:
+    """Mean of the per-node Gini values; the minimization objective."""
+    values = gini_distribution(g)
+    return sum(values) / len(values)
 
 
 def apply_circular_payment(g: NetworkGraph, cycle: RebalanceCycle, amount: int) -> None:
@@ -269,4 +255,10 @@ def apply_circular_payment(g: NetworkGraph, cycle: RebalanceCycle, amount: int) 
                 f"channel {cid}: node {sender} holds {ch.balance(sender)} < {amount}"
             )
     for sender, _, cid in cycle.hops:
-        g.channels[cid].shift(sender, amount)
+        ch = g.channels[cid]
+        if sender == ch.node_a:
+            ch.balance_a -= amount
+            ch.balance_b += amount
+        else:
+            ch.balance_b -= amount
+            ch.balance_a += amount

@@ -11,12 +11,13 @@ definitions and runs are bit-for-bit reproducible.
 Each rule has one implementation: `candidate_channels`,
 `desired_amount`, `check_sink_condition` and `max_agreeable_amount`.
 The simulation kernel `attempt_rebalance` and the unit tests call these
-same functions; `_check_executed` re-checks their outcome independently
-after every executed operation.  The rules take a node's (tau, kappa)
-from `node_totals` as an argument, because circular payments never
-change either total and the simulation computes them once per run; the
-check compares each node's totals after the payment with the ones the
-rules used.
+same functions.  The exact comparison `_excess` (b * kappa - c * tau)
+is behind the first three and band agreement; `_check_executed`
+re-checks every executed operation with its own arithmetic.  The rules
+take a node's (tau, kappa) from `node_totals` as an argument, because
+circular payments never change either total and the simulation
+computes them once per run; the check compares each node's totals
+after the payment with the ones the rules used.
 
 Routing fees are tracked in a hypothetical ledger only: forwarding nodes
 are credited what they would have charged and the initiator is debited,
@@ -122,19 +123,22 @@ class SimulationResult:
     samples: list[MetricsSample]
 
 
+def _excess(g: NetworkGraph, u: int, cid: int, totals: tuple[int, int]) -> int:
+    """kappa * c * (zeta - nu) for u on `cid`, as the exact integer b * kappa - c * tau.
+
+    `totals` is u's (tau, kappa) from `node_totals`.
+    """
+    tau, kappa = totals
+    ch = g.channel(cid)
+    return ch.balance(u) * kappa - ch.capacity * tau
+
+
 def candidate_channels(g: NetworkGraph, u: int, totals: tuple[int, int]) -> list[int]:
     """Channels, in id order, where u's balance coefficient exceeds its node coefficient.
 
-    `totals` is u's (tau, kappa) from `node_totals`.  Exact test:
-    b * kappa > tau * c avoids float rounding at the boundary.
+    `totals` is u's (tau, kappa) from `node_totals`.
     """
-    tau, kappa = totals
-    out = []
-    for cid, _ in g.incident(u):
-        ch = g.channels[cid]
-        if ch.balance(u) * kappa > tau * ch.capacity:
-            out.append(cid)
-    return out
+    return [cid for cid, _ in g.incident(u) if _excess(g, u, cid, totals) > 0]
 
 
 def desired_amount(
@@ -147,10 +151,7 @@ def desired_amount(
     means the channel is skipped.  The result never exceeds u's balance
     on `cid`, since tau * c >= 0.
     """
-    tau, kappa = totals
-    ch = g.channel(cid)
-    amount = (ch.balance(u) * kappa - ch.capacity * tau) // kappa
-    return max(amount // divisor, 0)
+    return max(_excess(g, u, cid, totals) // totals[1] // divisor, 0)
 
 
 def _band_bound(
@@ -161,23 +162,8 @@ def _band_bound(
     That is x's desired amount on the out channel, capped by what the in
     channel can receive before its coefficient reaches nu_x.
     """
-    tau, kappa = totals
-    in_ch = g.channels[in_cid]
-    receivable = (in_ch.capacity * tau - in_ch.balance(x) * kappa) // kappa
+    receivable = -_excess(g, x, in_cid, totals) // totals[1]
     return max(min(requested, desired_amount(g, x, out_cid, totals), receivable), 0)
-
-
-def _gini_after_shift(g: NetworkGraph, x: int, in_cid: int, out_cid: int, amount: int) -> float:
-    zetas = []
-    for cid, _ in g.incident(x):
-        ch = g.channels[cid]
-        balance = ch.balance(x)
-        if cid == out_cid:
-            balance -= amount
-        elif cid == in_cid:
-            balance += amount
-        zetas.append(balance / ch.capacity)
-    return gini(zetas)
 
 
 def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: int) -> int:
@@ -185,17 +171,27 @@ def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: i
 
     The amounts that do not raise it form an interval starting at 0: the
     Gini numerator is convex in the amount and its denominator affine.
+    x's coefficient vector is built once, in `incident` order; each probe
+    rewrites only its out and in entries and calls `gini` on it.
     """
     out_ch = g.channels[out_cid]
     in_ch = g.channels[in_cid]
+    b_out = out_ch.balance(x)
+    b_in = in_ch.balance(x)
     # receivable headroom caps the hypothetical shift at a sane coefficient
-    bound = min(requested, out_ch.balance(x), in_ch.capacity - in_ch.balance(x))
+    bound = min(requested, b_out, in_ch.capacity - b_in)
     if bound < 1:
         return 0
     before = node_gini(g, x)
+    cids = [cid for cid, _ in g.incident(x)]
+    zetas = [g.channels[cid].zeta(x) for cid in cids]
+    i_out = cids.index(out_cid)
+    i_in = cids.index(in_cid)
 
     def feasible(a: int) -> bool:
-        return _gini_after_shift(g, x, in_cid, out_cid, a) <= before
+        zetas[i_out] = (b_out - a) / out_ch.capacity
+        zetas[i_in] = (b_in + a) / in_ch.capacity
+        return gini(zetas) <= before
 
     if feasible(bound):
         return bound
@@ -244,9 +240,7 @@ def check_sink_condition(g: NetworkGraph, u: int, last_cid: int, totals: tuple[i
 
     `totals` is u's (tau, kappa) from `node_totals`.
     """
-    ch = g.channel(last_cid)
-    tau, kappa = totals
-    return ch.balance(u) * kappa < tau * ch.capacity
+    return _excess(g, u, last_cid, totals) < 0
 
 
 def record_fees(ledger: FeeLedger, g: NetworkGraph, cycle: RebalanceCycle, amount: int) -> None:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line, run in process through `main`."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -203,6 +204,13 @@ def test_manifest_config_round_trips(snapshot, tmp_path):
     )
 
 
+def test_manifest_config_defaults_come_from_simulation_config(bundle):
+    # `bundle` was simulated with no optional flag
+    manifest = json.loads((bundle / "manifest.json").read_text(encoding="utf-8"))
+    defaults = dataclasses.asdict(SimulationConfig(seed=7, strategy="cycle4"))
+    assert manifest["config"] == {**defaults, "strategy": "cycle4"}
+
+
 def test_evaluate_compare_reports_ks_distance(bundle, tmp_path, capsys):
     assert main(["evaluate", "-i", str(bundle / "initial_state.csv"), "-o", str(tmp_path / "initial")]) == 0
     baseline = tmp_path / "initial" / "report.json"
@@ -245,6 +253,7 @@ def test_evaluate_matches_last_simulate_sample(bundle, tmp_path, capsys):
         ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--epsilon", "inf"],
         ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--epsilon", "-0.5"],
         ["gen", "--nodes", "10", "--degree", "2", "--seed", "1", "-o", "unused.jsonl"],
+        ["simulate", "-i", "unused.csv", "--strategy", "cycle4", "--seed", "1", "-o", "out", "--agreement", "nope"],
     ],
 )
 def test_usage_error_exits_2(argv, capsys):

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,6 +41,17 @@ def make_graph(specs):
     return NetworkGraph(channels)
 
 
+def shift(g, cid, sender, amount):
+    """Move `amount` from `sender`'s side of channel `cid` to the peer's, unchecked."""
+    ch = g.channels[cid]
+    if sender == ch.node_a:
+        ch.balance_a -= amount
+        ch.balance_b += amount
+    else:
+        ch.balance_b -= amount
+        ch.balance_a += amount
+
+
 def skewed_triangle():
     """Funds oriented 0->1->2->0; one rebalance of 5 evens everything."""
     return make_graph([(0, 1, 10, 10), (1, 2, 10, 10), (2, 0, 10, 10)])
@@ -53,6 +66,19 @@ def triangle_cycle():
 
 def totals_of(g):
     return {u: node_totals(g, u) for u in g.nodes()}
+
+
+@st.composite
+def star_specs(draw):
+    """make_graph specs of 2-6 channels around node 0, two of them parallel."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    peers = list(range(1, n))
+    peers.append(draw(st.sampled_from(peers)))
+    specs = []
+    for peer in draw(st.permutations(peers)):
+        cap = draw(st.one_of(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=10**6)))
+        specs.append((0, peer, cap, draw(st.integers(min_value=0, max_value=cap))))
+    return specs
 
 
 def config(**kwargs):
@@ -123,8 +149,8 @@ class TestMaxAgreeableAmount:
             g, 0, in_cid=1, out_cid=0, requested=10, totals=node_totals(g, 0), mode="gini"
         )
         assert granted > 0
-        g.channels[0].shift(0, granted)
-        g.channels[1].shift(2, granted)
+        shift(g, 0, 0, granted)
+        shift(g, 1, 2, granted)
         assert node_gini(g, 0) <= before
 
     def test_gini_mode_can_exceed_band(self):
@@ -135,6 +161,30 @@ class TestMaxAgreeableAmount:
             g, 0, in_cid=2, out_cid=0, requested=100, totals=node_totals(g, 0), mode="gini"
         )
         assert gini_amt >= band
+
+    @settings(max_examples=300, deadline=None)
+    @given(specs=star_specs(), data=st.data())
+    def test_gini_bound_is_the_largest_amount_not_raising_gini(self, specs, data):
+        out_cid, in_cid = data.draw(st.permutations(range(len(specs))))[:2]
+        _, _, cap_out, b_out = specs[out_cid]
+        _, _, cap_in, b_in = specs[in_cid]
+        requested = data.draw(st.integers(min_value=1, max_value=cap_out + 1))
+        g = make_graph(specs)
+        granted = max_agreeable_amount(g, 0, in_cid, out_cid, requested, node_totals(g, 0), mode="gini")
+
+        def gini_after(amount):
+            # rebuilt from shifted balances: shares no code with the bisection's probes
+            shifted = list(specs)
+            shifted[out_cid] = (0, specs[out_cid][1], cap_out, b_out - amount)
+            shifted[in_cid] = (0, specs[in_cid][1], cap_in, b_in + amount)
+            return node_gini(make_graph(shifted), 0)
+
+        bound = min(requested, b_out, cap_in - b_in)
+        before = gini_after(0)
+        assert 0 <= granted <= bound
+        assert gini_after(granted) <= before
+        if granted < bound:
+            assert gini_after(granted + 1) > before
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -157,6 +207,23 @@ class TestMaxAgreeableAmount:
             # still on the original side of nu after the shift
             assert (b_out - granted) * kappa >= tau * cap_out
             assert (b_in + granted) * kappa <= tau * cap_in
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=star_specs(), divisor=st.integers(min_value=1, max_value=30))
+def test_band_rules_match_rational_definitions(specs, divisor):
+    """zeta > nu, zeta < nu and floor(floor(c * (zeta - nu)) / divisor) clamped at 0, in exact rationals."""
+    g = make_graph(specs)
+    for u in g.nodes():
+        totals = node_totals(g, u)
+        incident = [(cid, g.channels[cid]) for cid, _ in g.incident(u)]
+        nu = Fraction(sum(ch.balance(u) for _, ch in incident), sum(ch.capacity for _, ch in incident))
+        zetas = {cid: Fraction(ch.balance(u), ch.capacity) for cid, ch in incident}
+        assert candidate_channels(g, u, totals) == [cid for cid, _ in incident if zetas[cid] > nu]
+        for cid, ch in incident:
+            assert check_sink_condition(g, u, cid, totals) is (zetas[cid] < nu)
+            expected = max(math.floor(ch.capacity * (zetas[cid] - nu)) // divisor, 0)
+            assert desired_amount(g, u, cid, totals, divisor) == expected
 
 
 class TestSinkCondition:
@@ -274,7 +341,7 @@ def _unbalance_first_channel(apply):
 def _shift_first_hop_only(apply):
     def faulty(g, cycle, amount):
         sender, _, cid = cycle.hops[0]
-        g.channels[cid].shift(sender, amount)
+        shift(g, cid, sender, amount)
 
     return faulty
 
