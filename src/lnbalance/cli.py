@@ -237,12 +237,27 @@ def _write_bundle(
     return result
 
 
+def _baseline_gini_values(path: str) -> list[float]:
+    """The ``gini_values`` of an `evaluate` report, which must be a nonempty list of numbers."""
+    with open(path, encoding="utf-8") as fh:
+        baseline = json.load(fh)
+    values = baseline.get("gini_values") if isinstance(baseline, dict) else None
+    if not (
+        isinstance(values, list)
+        and values
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
+    ):
+        raise SnapshotError(f"{path}: baseline is not an object whose gini_values is a nonempty list of numbers")
+    return values
+
+
 def cmd_evaluate(args) -> int:
     if args.amount < 1:
         raise UsageError("--amount must be at least 1")
     if args.sample_pairs is not None and args.sample_pairs < 1:
         raise UsageError("--sample-pairs must be at least 1")
     with _published(args.outdir) as outdir:
+        baseline = _baseline_gini_values(args.compare) if args.compare else None
         g = load_state(args.input)
         report = evaluate_network(
             g,
@@ -258,10 +273,8 @@ def cmd_evaluate(args) -> int:
             "sampled_pairs": report.sampled_pairs,
             "gini_values": report.gini_values,
         }
-        if args.compare:
-            with open(args.compare, encoding="utf-8") as fh:
-                baseline = json.load(fh)
-            obj["ks_distance_vs_baseline"] = ks_distance(report.gini_values, baseline["gini_values"])
+        if baseline is not None:
+            obj["ks_distance_vs_baseline"] = ks_distance(report.gini_values, baseline)
         _write_json(outdir / "report.json", obj)
         cdf_header = ["value", "cumulative_fraction"]
         write_csv(outdir / "payment_size_cdf.csv", cdf_header,

@@ -10,6 +10,14 @@ node set.  Enumeration is a pure read of the topology: shortest cycles
 first, lexicographic by hop within a length, so truncating at a cap is
 reproducible.  The simulation kernel validates a candidate as a
 :class:`~lnbalance.model.RebalanceCycle` only when it executes.
+
+The search is one depth-first walk, pruned three ways.  A breadth-first
+pass gives every node's hop distance back to the initiator, and the walk
+steps only to nodes that can still close in the hops left.  The
+initiator's closing channels are grouped by neighbour once per call, so a
+cycle closes by lookup rather than by scanning neighbours, and the last
+hop closes without descending.  Once the shorter lengths hold `cap`
+cycles the walk stops looking for longer ones, which the cap would cut.
 """
 
 from __future__ import annotations
@@ -78,8 +86,20 @@ def enumerate_cycles(
     the order is lexicographic by hop: at each hop by (next node, channel
     id), so with parallel channels the channel taken at an earlier hop
     outranks the nodes reached later.  Length counts hops; two-hop cycles
-    exist only through parallel channels.  One depth-first pass in that
-    order keeps at most `cap` cycles per length.
+    exist only through parallel channels.
+
+    One depth-first pass in that order fills a list per length and stops
+    adding to a list once it holds `cap` cycles.  On entering a node the
+    walk first closes every cycle that ends there: the initiator's
+    channels to that node, bar `cid`, are grouped by neighbour once per
+    call.  Only then does it go deeper, and deeper cycles are longer, so
+    each length's list stays in order.  It steps only to nodes whose hop
+    distance to the initiator (inside the foaf set, for the foaf
+    strategies) still fits the hops left; those steps are listed once per
+    (node, hops left) and call.  With one hop left it closes at the
+    neighbour without descending.  Once lengths 2..L together hold `cap`
+    cycles, no longer cycle can make the cut, so the walk lowers its
+    length limit to L.
     """
     if cap < 1:
         raise ValueError("cycle cap must be at least 1")
@@ -87,23 +107,74 @@ def enumerate_cycles(
     allowed = foaf_node_set(g, initiator) if strategy.foaf_restricted else None
     max_len = {Strategy.CYCLE4: 4, Strategy.CYCLE5: 5}.get(strategy, DEFAULT_FOAF_MAX_LEN)
     dist = _bfs_distances(g, initiator, allowed, max_len - 2)
+    closers: dict[int, list[tuple[int, int, int]]] = {}
+    for nb, cc in g.incident_by_neighbor(initiator):
+        if cc != cid:
+            closers.setdefault(nb, []).append((nb, initiator, cc))
+    # steps_at[budget][node]: (next node, hops to append) for each step from
+    # `node` that can still close within `budget` further hops; with one hop
+    # left, the step and its closing hop together
+    steps_at: list[dict[int, list[tuple[int, Hops]]]] = [{} for _ in range(max_len)]
     by_length: list[list[Hops]] = [[] for _ in range(max_len + 1)]
-    hops = [(initiator, v, cid)]
     on_path = {initiator, v}
+    limit = max_len
+    shorter = 0  # cycles kept that are shorter than `limit`
 
-    def extend(current: int) -> None:
-        closed = by_length[len(hops) + 1]
-        budget = max_len - len(hops) - 1  # hops left to close after the next one
+    def kept(length: int) -> None:
+        """Count a cycle just kept; lower `limit` once shorter cycles fill the cap."""
+        nonlocal limit, shorter
+        if length < limit:
+            shorter += 1
+            if shorter == cap:
+                total = 0
+                for top in range(2, limit):
+                    total += len(by_length[top])
+                    if total >= cap:
+                        break
+                limit = top
+                shorter = total - len(by_length[top])
+
+    def steps_from(current: int, budget: int) -> list[tuple[int, Hops]]:
+        steps: list[tuple[int, Hops]] = []
         for nb, cc in g.incident_by_neighbor(current):
-            if nb == initiator:
-                if cc != cid and len(closed) < cap:
-                    closed.append((*hops, (current, initiator, cc)))
-            elif nb not in on_path and dist.get(nb, budget + 1) <= budget:
-                hops.append((current, nb, cc))
+            if 0 < dist.get(nb, budget + 1) <= budget:
+                hop = (current, nb, cc)
+                if budget == 1:
+                    steps += [(nb, (hop, close)) for close in closers.get(nb, ())]
+                else:
+                    steps.append((nb, (hop,)))
+        steps_at[budget][current] = steps
+        return steps
+
+    def extend(current: int, path: Hops) -> None:
+        n = len(path) + 1  # length of a cycle closed at `current`
+        budget = limit - n  # hops left to close after the next one
+        if budget < 0:
+            return  # the cut-off dropped this length while a sibling was walked
+        closed = by_length[n]
+        for close in closers.get(current, ()):
+            if len(closed) < cap:
+                closed.append(path + (close,))
+                kept(n)
+        if budget == 0:
+            return
+        steps = steps_at[budget].get(current)
+        if steps is None:
+            steps = steps_from(current, budget)
+        if budget == 1:
+            # each step closes at once; the list may pass `cap` by this one
+            # batch, which the cut at return drops
+            closed = by_length[n + 1]
+            if len(closed) < cap:
+                for nb, tail in steps:
+                    if nb not in on_path:
+                        closed.append(path + tail)
+            return
+        for nb, tail in steps:
+            if nb not in on_path:
                 on_path.add(nb)
-                extend(nb)
-                hops.pop()
+                extend(nb, path + tail)
                 on_path.discard(nb)
 
-    extend(v)
+    extend(v, ((initiator, v, cid),))
     return [c for cycles in by_length for c in cycles][:cap]

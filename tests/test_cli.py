@@ -225,6 +225,22 @@ def test_evaluate_compare_reports_ks_distance(bundle, tmp_path, capsys):
     assert final["ks_distance_vs_baseline"] == expected
 
 
+@pytest.mark.parametrize(
+    "baseline",
+    ['[0.1, 0.2]', '{"gini_values": null}', '{"success_rate": 1.0}', '{"gini_values": ["a"]}',
+     '{"gini_values": []}'],
+    ids=["array", "null", "missing-key", "strings", "empty"],
+)
+def test_evaluate_malformed_baseline_exits_3(baseline, bundle, tmp_path, capsys):
+    path = tmp_path / "baseline.json"
+    path.write_text(baseline, encoding="utf-8")
+    argv = ["evaluate", "-i", str(bundle / "final_state.csv"), "--compare", str(path),
+            "-o", str(tmp_path / "eval")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: baseline is not")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["baseline.json"]
+
+
 def test_evaluate_matches_last_simulate_sample(bundle, tmp_path, capsys):
     final = bundle / "final_state.csv"
     assert main(["evaluate", "-i", str(final), "-o", str(tmp_path / "eval")]) == 0

@@ -124,6 +124,26 @@ class TestTriangleAndCliques:
             ((0, 1, 2, 4), (0, 2, 4, 6)),
         ]
 
+    def test_closer_order_with_parallel_channels(self):
+        # channels 0, 2 and 5 are parallel between the initiator and its
+        # first-hop peer 1, and the first hop takes the middle one; 1 and 4
+        # are parallel on the inner hop 1-2
+        g = graph_from_edges([(0, 1), (1, 2), (0, 1), (2, 3), (1, 2), (0, 1), (3, 0), (2, 0), (1, 3)])
+        expected = [
+            ((0, 1, 2), (1, 0, 0)),
+            ((0, 1, 2), (1, 0, 5)),
+            ((0, 1, 2), (1, 2, 1), (2, 0, 7)),
+            ((0, 1, 2), (1, 2, 4), (2, 0, 7)),
+            ((0, 1, 2), (1, 3, 8), (3, 0, 6)),
+            ((0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 0, 6)),
+            ((0, 1, 2), (1, 2, 4), (2, 3, 3), (3, 0, 6)),
+            ((0, 1, 2), (1, 3, 8), (3, 2, 3), (2, 0, 7)),
+        ]
+        for strategy in Strategy:
+            assert enumerate_cycles(g, 0, 2, strategy, cap=100) == expected, strategy
+            for cap in range(1, len(expected) + 1):
+                assert enumerate_cycles(g, 0, 2, strategy, cap=cap) == expected[:cap], (strategy, cap)
+
     def test_deterministic_order(self):
         g = clique(5)
         a = enumerate_cycles(g, 0, 0, Strategy.CYCLE5, cap=50)
@@ -181,6 +201,24 @@ class TestBruteForceEquivalence:
         cid = rng.randrange(g.num_channels())
         u = g.channels[cid].node_b
         assert_matches_ordered_oracle(g, u, cid, (Strategy.FOAF, Strategy.MPP))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_cap_at_every_length_boundary(self, seed):
+        # a cap equal to the number of cycles up to some length, or one
+        # either side of it, is where a search that stops early goes wrong
+        g = random_graph(seed)
+        rng = random.Random(seed + 6)
+        cid = rng.randrange(g.num_channels())
+        u = rng.choice((g.channels[cid].node_a, g.channels[cid].node_b))
+        for strategy in Strategy:
+            full = ordered_oracle(g, u, cid, strategy, 10_000)
+            lengths = [len(c) for c in full]
+            boundaries = {i + 1 for i, n in enumerate(lengths) if i + 1 == len(lengths) or lengths[i + 1] != n}
+            for k in sorted(boundaries):
+                for cap in (k - 1, k, k + 1):
+                    if cap >= 1:
+                        assert enumerate_cycles(g, u, cid, strategy, cap) == full[:cap], (strategy, cap)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
