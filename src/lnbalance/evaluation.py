@@ -45,21 +45,22 @@ class EvaluationReport:
     sampled_pairs: int | None = None
 
 
-# cost tuples are (fee, hops, node sequence, channel sequence); comparing the
-# node sequence breaks fee/hop ties lexicographically and keeps Dijkstra greedy
+# cost tuples are (fee, hops, node sequence, last channel).  Comparing the node
+# sequence breaks fee/hop ties and keeps Dijkstra greedy; a node is expanded once,
+# with its final path, so entries equal in the first three differ in a parallel channel.
 def _single_source(g: NetworkGraph, source: int) -> dict[int, tuple]:
-    start = (0, 0, (source,), ())
+    start = (0, 0, (source,), -1)
     best: dict[int, tuple] = {source: start}
     heap = [start]
     while heap:
         entry = heapq.heappop(heap)
-        fee, hops, nodes, cids = entry
+        fee, hops, nodes, _ = entry
         u = nodes[-1]
         if best.get(u) != entry:
             continue
         for cid, nb in g.incident(u):
             ch = g.channels[cid]
-            cand = (fee + ch.base_fee_msat, hops + 1, nodes + (nb,), cids + (cid,))
+            cand = (fee + ch.base_fee_msat, hops + 1, nodes + (nb,), cid)
             cur = best.get(nb)
             if cur is None or cand < cur:
                 best[nb] = cand
@@ -82,8 +83,7 @@ class RouteCache:
 
     The trees hold only while the topology and the fees stay fixed, which
     circular payments guarantee; build a new cache for any other change.
-    Using the cache with a graph other than the one it was made for raises
-    ``ValueError``.
+    :func:`evaluate_network` rejects a cache made for another graph.
     """
 
     def __init__(self, g: NetworkGraph):
@@ -99,31 +99,25 @@ class RouteCache:
         tree = self._trees.get(source)
         if tree is None:
             g, index = self._graph, self._index
-            hops = sorted(
-                (
-                    len(cids),
-                    index[nodes[-1]],
-                    index[nodes[-2]],
-                    self._slot[cids[-1]] + (nodes[-2] != g.channels[cids[-1]].node_a),
-                )
-                for _, _, nodes, cids in _single_source(g, source).values()
-                if cids
+            rows = sorted(
+                (hops, index[nodes[-1]], index[nodes[-2]],
+                 self._slot[cid] + (nodes[-2] != g.channels[cid].node_a))
+                for _, hops, nodes, cid in _single_source(g, source).values()
+                if hops
             )
-            depths, *columns = zip(*hops)
+            depths, *columns = zip(*rows)
             ends = [i for i in range(1, len(depths)) if depths[i] != depths[i - 1]]
             tree = (np.array(columns, dtype=np.int32), ends + [len(depths)])
             self._trees[source] = tree
         return tree
 
-    def bottlenecks(self, g: NetworkGraph, pairs: Sequence[tuple[int, int]] | None = None) -> np.ndarray:
+    def bottlenecks(self, pairs: Sequence[tuple[int, int]] | None = None) -> np.ndarray:
         """Bottlenecks of `pairs` in the given order; all ordered pairs by default.
 
         Each pair is (source, target) of two distinct nodes; all pairs come
         in sorted order.  Only the trees of the sources that occur are built.
         """
-        if g is not self._graph:
-            raise ValueError("route cache used with a graph it was not built for")
-        nodes, index = self._nodes, self._index
+        g, nodes, index = self._graph, self._nodes, self._index
         sources = nodes if pairs is None else sorted({s for s, _ in pairs})
         balances = np.fromiter(
             itertools.chain.from_iterable((ch.balance_a, ch.balance_b) for ch in g.channels.values()),
@@ -203,14 +197,16 @@ def evaluate_network(
         raise ValueError("evaluation needs at least two nodes")
     if routes is None:
         routes = RouteCache(g)
+    elif routes._graph is not g:
+        raise ValueError("route cache used with a graph it was not built for")
     if sample_pairs is None:
-        bottlenecks = routes.bottlenecks(g)
+        bottlenecks = routes.bottlenecks()
         sampled = None
     else:
         if sample_pairs < 1:
             raise ValueError("sample_pairs must be at least 1")
         pairs = _sample_ordered_pairs(nodes, sample_pairs, seed)
-        bottlenecks = routes.bottlenecks(g, pairs)
+        bottlenecks = routes.bottlenecks(pairs)
         sampled = len(pairs)
     ordered = np.sort(bottlenecks)
     gini_values = gini_distribution(g)

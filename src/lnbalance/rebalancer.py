@@ -17,7 +17,8 @@ re-checks every executed operation with its own arithmetic.  The rules
 take a node's (tau, kappa) from `node_totals` as an argument, because
 circular payments never change either total and the simulation
 computes them once per run; the check compares each node's totals
-after the payment with the ones the rules used.
+after the payment with the ones the rules used.  `run_simulation` fills
+one Gini table per run, and `attempt_rebalance` is its only writer.
 
 Routing fees are tracked in a hypothetical ledger only: forwarding nodes
 are credited what they would have charged and the initiator is debited,
@@ -171,8 +172,8 @@ def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: i
 
     The amounts that do not raise it form an interval starting at 0: the
     Gini numerator is convex in the amount and its denominator affine.
-    x's coefficient vector is built once, in `incident` order; each probe
-    rewrites only its out and in entries and calls `gini` on it.
+    x's coefficient vector is built once, in `incident` order, so its `gini`
+    is x's Gini-table entry; each probe rewrites its out and in entries.
     """
     out_ch = g.channels[out_cid]
     in_ch = g.channels[in_cid]
@@ -182,9 +183,9 @@ def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: i
     bound = min(requested, b_out, in_ch.capacity - b_in)
     if bound < 1:
         return 0
-    before = node_gini(g, x)
     cids = [cid for cid, _ in g.incident(x)]
     zetas = [g.channels[cid].zeta(x) for cid in cids]
+    before = gini(zetas)
     i_out = cids.index(out_cid)
     i_in = cids.index(in_cid)
 
@@ -267,18 +268,21 @@ def attempt_rebalance(
     config: SimulationConfig,
     ledger: FeeLedger,
     totals: Mapping[int, tuple[int, int]],
+    ginis: dict[int, float],
 ) -> tuple[RebalanceCycle, int] | None:
     """Try one circular rebalance; returns the executed cycle and amount, or None.
 
     The initiator u drains its channel on the first of `hops`.  `totals`
-    maps each cycle node to its (tau, kappa) from `node_totals`.  The sink
+    maps each cycle node to its (tau, kappa) from `node_totals`, and the
+    run's Gini table `ginis` to its current `node_gini`.  The sink
     condition is checked unless the config waives it (easier path finding
     at the cost of small oscillations), u proposes its desired amount, and
     every intermediate node caps it by its agreement rule.  The amount
     never exceeds u's balance on the first hop, because no rule raises it.
     Only then is the `RebalanceCycle` built (a malformed one raises
-    `ValueError`), the payment applied atomically, checked, and its fees
-    recorded.  Declines leave the state untouched.
+    `ValueError`), the payment applied atomically, checked, each cycle
+    node's new Gini written into `ginis`, and the fees recorded.
+    Declines leave the state and `ginis` untouched.
     """
     u, _, cid = hops[0]
     if config.require_sink_condition and not check_sink_condition(g, u, hops[-1][2], totals[u]):
@@ -292,11 +296,10 @@ def attempt_rebalance(
         if amount < config.min_amount:
             return None
     cycle = RebalanceCycle(u, hops)
-    gini_before = None
-    if config.agreement_mode == "gini":
-        gini_before = {x: node_gini(g, x) for x in cycle.nodes[1:]}
     apply_circular_payment(g, cycle, amount)
-    _check_executed(g, hops, totals, gini_before)
+    after = {x: node_gini(g, x) for x in cycle.nodes}
+    _check_executed(g, hops, totals, config.agreement_mode, ginis, after)
+    ginis.update(after)
     record_fees(ledger, g, cycle, amount)
     if ledger.total() != 0:
         raise InvariantViolation("fee ledger lost zero-sum")
@@ -307,13 +310,15 @@ def _check_executed(
     g: NetworkGraph,
     hops: Hops,
     totals: Mapping[int, tuple[int, int]],
-    gini_before: Mapping[int, float] | None,
+    mode: str,
+    ginis: Mapping[int, float],
+    after: Mapping[int, float],
 ) -> None:
     """Post-conditions of one executed payment; raises InvariantViolation.
 
     Capacities and node totals are as the rules saw them.  Each
     intermediary either stayed on its side of nu on both channels (band
-    mode, `gini_before` None) or did not raise its Gini (gini mode).
+    mode) or did not raise its Gini (gini mode): `after[x] <= ginis[x]`.
     """
     for _, _, cid in hops:
         ch = g.channels[cid]
@@ -323,7 +328,7 @@ def _check_executed(
         if node_totals(g, x) != totals[x]:
             raise InvariantViolation(f"node {x} total funds changed")
     for (_, _, in_cid), (x, _, out_cid) in zip(hops, hops[1:]):
-        if gini_before is None:
+        if mode == "band":
             tau, kappa = totals[x]
             out_ch = g.channels[out_cid]
             in_ch = g.channels[in_cid]
@@ -332,7 +337,7 @@ def _check_executed(
                 raise InvariantViolation(f"node {x} crossed nu on its out channel")
             if in_ch.balance(x) * kappa > tau * in_ch.capacity:
                 raise InvariantViolation(f"node {x} crossed nu on its in channel")
-        elif node_gini(g, x) > gini_before[x]:
+        elif after[x] > ginis[x]:
             raise InvariantViolation(f"node {x} Gini increased")
 
 
@@ -395,14 +400,12 @@ def run_simulation(
             indices = list(range(len(cyc)))
             rng.shuffle(indices)
             for i in indices:
-                executed = attempt_rebalance(g, cyc[i], config, ledger, totals)
+                executed = attempt_rebalance(g, cyc[i], config, ledger, totals, ginis)
                 if executed is None:
                     continue
                 cycle, amount = executed
                 ops += 1
                 ops_this_sweep += 1
-                for x in cycle.nodes:
-                    ginis[x] = node_gini(g, x)
                 imbalance = sum(ginis.values()) / len(nodes)
                 operations.append(OperationRecord(ops, u, cycle, amount, imbalance))
                 grid = math.floor(imbalance * 100 + 1e-9)

@@ -60,7 +60,7 @@ def oracle_routes(g):
 
 
 def route_bottleneck(g, s, t):
-    return RouteCache(g).bottlenecks(g, [(s, t)]).tolist()[0]
+    return RouteCache(g).bottlenecks([(s, t)]).tolist()[0]
 
 
 class TestCheapestPath:
@@ -158,7 +158,7 @@ class TestSuccessRate:
     def test_internal_consistency_with_bottlenecks(self):
         records = generate_synthetic(20, 2, (100, 10_000), seed=5)
         g = allocate_funds_coinflip(records, seed=5)
-        values = RouteCache(g).bottlenecks(g).tolist()
+        values = RouteCache(g).bottlenecks().tolist()
         assert evaluate_network(g, 1).success_rate == 1 - sum(1 for v in values if v == 0) / len(values)
 
 
@@ -233,7 +233,7 @@ class TestEvaluateNetwork:
         records = generate_synthetic(20, 2, (100, 10_000), seed=2)
         g = allocate_funds_coinflip(records, seed=2)
         report = evaluate_network(g)
-        values = sorted(RouteCache(g).bottlenecks(g).tolist())
+        values = sorted(RouteCache(g).bottlenecks().tolist())
         assert report.success_rate == sum(1 for v in values if v >= 1) / len(values)
         assert report.median_payment_sat == values[(len(values) - 1) // 2]
         assert report.gini_values == gini_distribution(g)
@@ -323,5 +323,3 @@ class TestRouteCache:
         # an equal graph is still another graph
         with pytest.raises(ValueError):
             evaluate_network(make_graph(specs), routes=routes)
-        with pytest.raises(ValueError):
-            routes.bottlenecks(make_graph([(0, 1, 10, 5)]))

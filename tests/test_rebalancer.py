@@ -68,6 +68,10 @@ def totals_of(g):
     return {u: node_totals(g, u) for u in g.nodes()}
 
 
+def ginis_of(g):
+    return {u: node_gini(g, u) for u in g.nodes()}
+
+
 @st.composite
 def star_specs(draw):
     """make_graph specs of 2-6 channels around node 0, two of them parallel."""
@@ -267,7 +271,7 @@ class TestAttemptRebalance:
     def test_triangle_executes_five(self):
         g = skewed_triangle()
         ledger = FeeLedger()
-        cycle, amount = attempt_rebalance(g, TRIANGLE_HOPS, config(), ledger, totals_of(g))
+        cycle, amount = attempt_rebalance(g, TRIANGLE_HOPS, config(), ledger, totals_of(g), ginis_of(g))
         assert cycle == triangle_cycle()
         assert amount == 5
         assert network_imbalance(g) == 0.0
@@ -279,13 +283,13 @@ class TestAttemptRebalance:
         # node 1 has nothing on its outgoing channel
         g = make_graph([(0, 1, 10, 10), (1, 2, 10, 0), (2, 0, 10, 10)])
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
-        outcome = attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g))
+        outcome = attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g), ginis_of(g))
         assert outcome is None
         assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
 
     def test_declines_on_zero_desired(self):
         g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)])
-        assert attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g), ginis_of(g)) is None
 
     def test_sink_condition_blocks(self):
         # initiator's receiving side of the last channel sits above its nu
@@ -295,22 +299,35 @@ class TestAttemptRebalance:
             )
 
         g = build()
-        assert attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g), ginis_of(g)) is None
         relaxed = config(require_sink_condition=False)
         g = build()
-        assert attempt_rebalance(g, TRIANGLE_HOPS, relaxed, FeeLedger(), totals_of(g))[1] == 2
+        assert attempt_rebalance(g, TRIANGLE_HOPS, relaxed, FeeLedger(), totals_of(g), ginis_of(g))[1] == 2
 
     def test_min_amount_threshold(self):
         g = skewed_triangle()
         cfg = config(min_amount=6)
-        assert attempt_rebalance(g, TRIANGLE_HOPS, cfg, FeeLedger(), totals_of(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, cfg, FeeLedger(), totals_of(g), ginis_of(g)) is None
 
     def test_mpp_splits_amount(self):
         g = make_graph([(0, 1, 1000, 1000), (1, 2, 1000, 1000), (2, 0, 1000, 1000)])
         cfg = config(strategy=Strategy.MPP, mpp_divisor=20)
         ledger = FeeLedger()
-        _, amount = attempt_rebalance(g, TRIANGLE_HOPS, cfg, ledger, totals_of(g))
+        _, amount = attempt_rebalance(g, TRIANGLE_HOPS, cfg, ledger, totals_of(g), ginis_of(g))
         assert amount == 25  # desired 500 split by 20
+
+    def test_gini_table_rewritten_for_cycle_nodes_only(self):
+        # the skewed triangle plus node 3, off the cycle, with an uneven Gini
+        g = make_graph([(0, 1, 10, 10), (1, 2, 10, 10), (2, 0, 10, 10), (0, 3, 10, 5), (3, 4, 10, 2)])
+        ginis = ginis_of(g)
+        start = dict(ginis)
+        assert attempt_rebalance(g, TRIANGLE_HOPS, config(min_amount=6), FeeLedger(), totals_of(g), ginis) is None
+        assert ginis == start
+        cycle, _ = attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g), ginis)
+        assert ginis == ginis_of(g)
+        assert {u for u in ginis if ginis[u] != start[u]} == set(cycle.nodes) == {0, 1, 2}
+        assert start[3] > 0
+        assert all(ginis[u] is start[u] for u in (3, 4))
 
     def test_malformed_hops_rejected_before_any_mutation(self):
         # a figure eight through initiator 0: every rule agrees to 5, but
@@ -325,7 +342,7 @@ class TestAttemptRebalance:
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
         ledger = FeeLedger()
         with pytest.raises(ValueError, match="^initiator may appear only at the cycle ends$"):
-            attempt_rebalance(g, hops, config(), ledger, totals)
+            attempt_rebalance(g, hops, config(), ledger, totals, ginis_of(g))
         assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
         assert [ledger.net(u) for u in g.nodes()] == [0, 0, 0]
 
@@ -389,7 +406,7 @@ def test_post_condition_catches_faulty_execution(monkeypatch, specs, mode, targe
     g = make_graph(specs) if specs else skewed_triangle()
     monkeypatch.setattr(rebalancer, target, fault(getattr(rebalancer, target)))
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
-        attempt_rebalance(g, TRIANGLE_HOPS, config(agreement_mode=mode), FeeLedger(), totals_of(g))
+        attempt_rebalance(g, TRIANGLE_HOPS, config(agreement_mode=mode), FeeLedger(), totals_of(g), ginis_of(g))
 
 
 class TestRunSimulation:
@@ -516,7 +533,8 @@ def reference_simulation(g, config):
             rng.shuffle(indices)
             for i in indices:
                 totals = {x: node_totals(g, x) for x, _, _ in cycles[i]}
-                executed = attempt_rebalance(g, cycles[i], config, ledger, totals)
+                ginis = {x: node_gini(g, x) for x, _, _ in cycles[i]}
+                executed = attempt_rebalance(g, cycles[i], config, ledger, totals, ginis)
                 if executed is not None:
                     cycle, amount = executed
                     ops.append((len(ops) + 1, u, cycle, amount, network_imbalance(g)))
