@@ -15,9 +15,11 @@ missing parent directories; a missing parent exits 3 and creates nothing.
 `simulate` stores each flag under the name of its `SimulationConfig`
 field and takes every default from `SimulationConfig`.
 
-`simulate` evaluates the network once per metrics sample, and every
+`simulate` evaluates payment ability once per metrics sample, and every
 sample reuses the cheapest-path trees built for the run's graph at the
 first one.  Evaluation is single-threaded; there is no `--threads` flag.
+`evaluate --sample-pairs N` takes its payment metrics from every pair of
+min(n, ceil(N / (n - 1))) sources drawn with `--seed` from the n nodes.
 
 Exit codes: 0 success, 2 usage, 3 input data error, 4 invariant violation.
 """
@@ -30,6 +32,7 @@ import dataclasses
 import errno
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -52,7 +55,7 @@ from .ingestion import (
     write_snapshot,
     write_state,
 )
-from .model import InvariantViolation, NetworkGraph
+from .model import InvariantViolation, NetworkGraph, gini_distribution
 from .rebalancer import AGREEMENT_MODES, SimulationConfig, SimulationResult, run_simulation
 
 SIMULATE_OUTPUTS = [
@@ -107,9 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("-i", "--input", required=True, help="extended snapshot CSV")
     ev.add_argument("--amount", type=int, default=1)
     ev.add_argument("--compare", help="report JSON to compare Gini samples against")
-    ev.add_argument("--sample-pairs", type=int, default=None,
-                    help="approximate pair metrics from this many sampled pairs")
-    ev.add_argument("--seed", type=int, default=0, help="seed for pair sampling")
+    ev.add_argument("--sample-pairs", type=int, default=None, metavar="N",
+                    help="approximate pair metrics from every pair of "
+                         "min(n, ceil(N / (n - 1))) sources sampled from the n nodes")
+    ev.add_argument("--seed", type=int, default=0, help="seed for source sampling")
     ev.add_argument("-o", "--outdir", required=True)
     ev.set_defaults(func=cmd_evaluate)
 
@@ -238,16 +242,16 @@ def _write_bundle(
 
 
 def _baseline_gini_values(path: str) -> list[float]:
-    """The ``gini_values`` of an `evaluate` report, which must be a nonempty list of numbers."""
+    """The ``gini_values`` of an `evaluate` report, which must be a nonempty list of finite numbers."""
     with open(path, encoding="utf-8") as fh:
         baseline = json.load(fh)
     values = baseline.get("gini_values") if isinstance(baseline, dict) else None
     if not (
         isinstance(values, list)
         and values
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in values)
     ):
-        raise SnapshotError(f"{path}: baseline is not an object whose gini_values is a nonempty list of numbers")
+        raise SnapshotError(f"{path}: baseline is not an object whose gini_values is a nonempty list of finite numbers")
     return values
 
 
@@ -265,27 +269,29 @@ def cmd_evaluate(args) -> int:
             sample_pairs=args.sample_pairs,
             seed=args.seed,
         )
+        gini_values = gini_distribution(g)
+        imbalance = sum(gini_values) / len(gini_values)
         obj = {
             "success_rate": report.success_rate,
             "median_payment_sat": report.median_payment_sat,
-            "network_imbalance": report.network_imbalance,
+            "network_imbalance": imbalance,
             "amount_sat": report.amount_sat,
             "sampled_pairs": report.sampled_pairs,
-            "gini_values": report.gini_values,
+            "gini_values": gini_values,
         }
         if baseline is not None:
-            obj["ks_distance_vs_baseline"] = ks_distance(report.gini_values, baseline)
+            obj["ks_distance_vs_baseline"] = ks_distance(gini_values, baseline)
         _write_json(outdir / "report.json", obj)
         cdf_header = ["value", "cumulative_fraction"]
         write_csv(outdir / "payment_size_cdf.csv", cdf_header,
                   ([value, repr(frac)] for value, frac in report.payment_size_cdf))
         write_csv(outdir / "gini_cdf.csv", cdf_header,
-                  ([repr(float(value)), repr(frac)] for value, frac in cdf_points(report.gini_values)))
+                  ([repr(float(value)), repr(frac)] for value, frac in cdf_points(gini_values)))
 
     line = (
         f"success_rate {report.success_rate:.4f}, "
         f"median_payment {report.median_payment_sat} sat, "
-        f"imbalance {report.network_imbalance:.4f}"
+        f"imbalance {imbalance:.4f}"
     )
     if "ks_distance_vs_baseline" in obj:
         line += f", ks_vs_baseline {obj['ks_distance_vs_baseline']:.4f}"

@@ -11,7 +11,8 @@ Route choice reads only the topology and the base fees, and a circular
 payment changes neither: it moves balances alone.  So the cheapest-path
 tree of each source stays valid for the whole of a simulation run, and a
 :class:`RouteCache` computes it once per graph.  Each later evaluation
-only reads the current balances down the cached trees.
+only reads the current balances down the cached trees.  A sampled
+evaluation draws sources and builds the trees of those alone.
 """
 
 from __future__ import annotations
@@ -24,23 +25,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import NetworkGraph, gini_distribution
+from .model import NetworkGraph
 
 
 @dataclass
 class EvaluationReport:
-    """All snapshot metrics behind the before/after comparisons.
+    """Payment ability of one snapshot, over ordered (source, target) pairs.
 
-    `success_rate` is the fraction of ordered pairs whose cheapest path can
+    `success_rate` is the fraction of pairs whose cheapest path can
     forward `amount_sat`.  `median_payment_sat` is the median bottleneck,
     the lower middle value for an even count, with blocked pairs as 0.
+    The pairs are all ordered pairs, or, when `sampled_pairs` is set, the
+    pairs from each of a seeded sample of sources to every other node;
+    `sampled_pairs` is then their number.
     """
 
     success_rate: float
     median_payment_sat: int
     payment_size_cdf: list[tuple[int, float]]
-    gini_values: list[float]
-    network_imbalance: float
     amount_sat: int = 1
     sampled_pairs: int | None = None
 
@@ -88,8 +90,7 @@ class RouteCache:
 
     def __init__(self, g: NetworkGraph):
         self._graph = g
-        self._nodes = g.nodes()
-        self._index = {u: i for i, u in enumerate(self._nodes)}
+        self._index = {u: i for i, u in enumerate(g.nodes())}
         # balance slots: 2k holds channel k's balance_a, 2k + 1 its balance_b
         self._slot = {cid: 2 * k for k, cid in enumerate(g.channels)}
         self._trees: dict[int, tuple[np.ndarray, list[int]]] = {}
@@ -111,20 +112,22 @@ class RouteCache:
             self._trees[source] = tree
         return tree
 
-    def bottlenecks(self, pairs: Sequence[tuple[int, int]] | None = None) -> np.ndarray:
-        """Bottlenecks of `pairs` in the given order; all ordered pairs by default.
+    def bottlenecks(self, sources: Sequence[int] | None = None) -> np.ndarray:
+        """Bottlenecks from each of `sources` (all nodes by default) to every other node.
 
-        Each pair is (source, target) of two distinct nodes; all pairs come
-        in sorted order.  Only the trees of the sources that occur are built.
+        Row-major: one row per source in the given order, its targets in
+        node order with the source itself left out.  Only the trees of
+        `sources` are built.
         """
-        g, nodes, index = self._graph, self._nodes, self._index
-        sources = nodes if pairs is None else sorted({s for s, _ in pairs})
+        g, index = self._graph, self._index
+        if sources is None:
+            sources = g.nodes()
         balances = np.fromiter(
             itertools.chain.from_iterable((ch.balance_a, ch.balance_b) for ch in g.channels.values()),
             dtype=np.int64,
             count=2 * len(g.channels),
         )
-        rows = np.zeros((len(sources), len(nodes)), dtype=np.int64)
+        rows = np.zeros((len(sources), len(index)), dtype=np.int64)
         for row, source in zip(rows, sources):
             tree, ends = self._tree(source)
             row[index[source]] = _UNBOUNDED
@@ -133,10 +136,7 @@ class RouteCache:
                 targets, preds, slots = tree[:, start:end]
                 row[targets] = np.minimum(row[preds], balances[slots])
                 start = end
-        if pairs is None:
-            return rows[~np.eye(len(nodes), dtype=bool)]
-        row_of = {s: i for i, s in enumerate(sources)}
-        return rows[[row_of[s] for s, _ in pairs], [index[t] for _, t in pairs]]
+        return np.delete(rows, [k * len(index) + index[s] for k, s in enumerate(sources)])
 
 
 def ks_distance(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
@@ -161,19 +161,6 @@ def cdf_points(values: Sequence[float]) -> list[tuple[float, float]]:
     return [(v, (i + 1) / n) for v, i in zip(ordered[ends].tolist(), ends)]
 
 
-def _sample_ordered_pairs(nodes: Sequence[int], k: int, seed: int | None) -> list[tuple[int, int]]:
-    n = len(nodes)
-    total = n * (n - 1)
-    rng = random.Random(seed)
-    picks = rng.sample(range(total), min(k, total))
-    pairs = []
-    for idx in picks:
-        s, r = divmod(idx, n - 1)
-        t = r if r < s else r + 1
-        pairs.append((nodes[s], nodes[t]))
-    return sorted(pairs)
-
-
 def evaluate_network(
     g: NetworkGraph,
     amount: int = 1,
@@ -182,40 +169,37 @@ def evaluate_network(
     seed: int | None = None,
     routes: RouteCache | None = None,
 ) -> EvaluationReport:
-    """Compute the full metric set of one snapshot.
+    """Payment ability of one snapshot, over all ordered pairs by default.
 
-    With `sample_pairs` the pair statistics use a seeded uniform sample of
-    ordered pairs instead of all of them (approximate, for large graphs);
-    the report notes the sample size.  Pass the same `routes` to every
+    With `sample_pairs` = N the statistics are over every pair of
+    ceil(N / (n - 1)) sources drawn uniformly with `seed`, or of all n
+    sources once that many are needed, so the cost follows N; the report
+    notes the number of pairs used.  Pass the same `routes` to every
     evaluation of one graph so its cheapest-path trees are built once; by
     default a fresh cache is made for this call alone.
     """
     if amount < 1:
         raise ValueError("amount must be at least 1 satoshi")
     nodes = g.nodes()
-    if len(nodes) < 2:
+    n = len(nodes)
+    if n < 2:
         raise ValueError("evaluation needs at least two nodes")
     if routes is None:
         routes = RouteCache(g)
     elif routes._graph is not g:
         raise ValueError("route cache used with a graph it was not built for")
-    if sample_pairs is None:
-        bottlenecks = routes.bottlenecks()
-        sampled = None
-    else:
+    sources = sampled = None
+    if sample_pairs is not None:
         if sample_pairs < 1:
             raise ValueError("sample_pairs must be at least 1")
-        pairs = _sample_ordered_pairs(nodes, sample_pairs, seed)
-        bottlenecks = routes.bottlenecks(pairs)
-        sampled = len(pairs)
-    ordered = np.sort(bottlenecks)
-    gini_values = gini_distribution(g)
+        count = min(-(-sample_pairs // (n - 1)), n)
+        sources = random.Random(seed).sample(nodes, count)
+        sampled = count * (n - 1)
+    ordered = np.sort(routes.bottlenecks(sources))
     return EvaluationReport(
         success_rate=int(np.count_nonzero(ordered >= amount)) / ordered.size,
         median_payment_sat=ordered[(ordered.size - 1) // 2].item(),
         payment_size_cdf=cdf_points(ordered),
-        gini_values=gini_values,
-        network_imbalance=sum(gini_values) / len(gini_values),
         amount_sat=amount,
         sampled_pairs=sampled,
     )

@@ -167,13 +167,13 @@ def _band_bound(
     return max(min(requested, desired_amount(g, x, out_cid, totals), receivable), 0)
 
 
-def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: int) -> int:
-    """Largest amount (found by bisection) that does not raise x's Gini.
+def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: int, before: float) -> int:
+    """Largest amount (found by bisection) that does not raise x's Gini `before`.
 
     The amounts that do not raise it form an interval starting at 0: the
     Gini numerator is convex in the amount and its denominator affine.
     x's coefficient vector is built once, in `incident` order, so its `gini`
-    is x's Gini-table entry; each probe rewrites its out and in entries.
+    is `before`, x's Gini-table entry; each probe rewrites two entries.
     """
     out_ch = g.channels[out_cid]
     in_ch = g.channels[in_cid]
@@ -185,7 +185,6 @@ def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: i
         return 0
     cids = [cid for cid, _ in g.incident(x)]
     zetas = [g.channels[cid].zeta(x) for cid in cids]
-    before = gini(zetas)
     i_out = cids.index(out_cid)
     i_in = cids.index(in_cid)
 
@@ -213,11 +212,13 @@ def max_agreeable_amount(
     out_cid: int,
     requested: int,
     totals: tuple[int, int],
+    current_gini: float,
     mode: str = "band",
 ) -> int:
     """How much of `requested` node x agrees to forward; 0 declines.
 
-    `totals` is x's (tau, kappa) from `node_totals`.  Band mode lets both
+    `totals` is x's (tau, kappa) from `node_totals` and `current_gini` its
+    `node_gini`, the run's Gini-table entry.  Band mode lets both
     touched coefficients move toward x's node coefficient without
     crossing it; gini mode accepts any amount that does not increase x's
     Gini, preferring the largest.  The result never exceeds `requested`.
@@ -233,7 +234,7 @@ def max_agreeable_amount(
         return 0
     if mode == "band":
         return _band_bound(g, x, in_cid, out_cid, requested, totals)
-    return _gini_bound(g, x, in_cid, out_cid, requested)
+    return _gini_bound(g, x, in_cid, out_cid, requested, current_gini)
 
 
 def check_sink_condition(g: NetworkGraph, u: int, last_cid: int, totals: tuple[int, int]) -> bool:
@@ -292,7 +293,7 @@ def attempt_rebalance(
     if amount < config.min_amount:
         return None
     for (_, _, in_cid), (x, _, out_cid) in zip(hops, hops[1:]):
-        amount = max_agreeable_amount(g, x, in_cid, out_cid, amount, totals[x], config.agreement_mode)
+        amount = max_agreeable_amount(g, x, in_cid, out_cid, amount, totals[x], ginis[x], config.agreement_mode)
         if amount < config.min_amount:
             return None
     cycle = RebalanceCycle(u, hops)

@@ -108,7 +108,8 @@ GOLDEN = {
 
 GOLDEN_SNAPSHOT = "472e58d44c803de17427fa8dd2c9246e2b597a9400dcf056fd30f7c06f5b307c"
 
-# sha256 of evaluate's outputs on the final state of the cycle4 bundle
+# sha256 of evaluate's outputs on the final state of the cycle4 bundle.  The
+# sampled case takes every pair of ceil(500 / 36) = 14 sources of 37 nodes.
 GOLDEN_EVALUATE = {
     "defaults": (
         [],
@@ -121,8 +122,8 @@ GOLDEN_EVALUATE = {
     "sampled": (
         ["--sample-pairs", "500", "--amount", "1000", "--seed", "3"],
         {
-            "report.json": "2d7c79caba449e3b2fe143e87e0792af63a546b2bbf83d6b993fc351feb832da",
-            "payment_size_cdf.csv": "88a0d1b5a938d50134f5fc05dfedb6a5b1961781c3eb5023b3d616718cadef54",
+            "report.json": "dcaf85136225a833ce45b0c83e31d725ba509d27beb3fb03cefd90188455f43b",
+            "payment_size_cdf.csv": "082dd5672ea0dc14bcbf1a7d76c43f53ad25443c30e6e263d8d2ac9216cb0176",
             "gini_cdf.csv": "a2fd49fd93c7c87dd39aa9d8cb043255903eea41db57fb673dab0768d102c9d0",
         },
     ),
@@ -228,8 +229,8 @@ def test_evaluate_compare_reports_ks_distance(bundle, tmp_path, capsys):
 @pytest.mark.parametrize(
     "baseline",
     ['[0.1, 0.2]', '{"gini_values": null}', '{"success_rate": 1.0}', '{"gini_values": ["a"]}',
-     '{"gini_values": []}'],
-    ids=["array", "null", "missing-key", "strings", "empty"],
+     '{"gini_values": []}', '{"gini_values": [NaN]}'],
+    ids=["array", "null", "missing-key", "strings", "empty", "nan"],
 )
 def test_evaluate_malformed_baseline_exits_3(baseline, bundle, tmp_path, capsys):
     path = tmp_path / "baseline.json"

@@ -6,16 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnbalance.cycles import Strategy, enumerate_cycles
-from lnbalance.evaluation import (
-    RouteCache,
-    _sample_ordered_pairs,
-    cdf_points,
-    evaluate_network,
-    gini_distribution,
-    ks_distance,
-)
+from lnbalance.evaluation import RouteCache, cdf_points, evaluate_network, ks_distance
 from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic
-from lnbalance.model import Channel, NetworkGraph, RebalanceCycle, apply_circular_payment, network_imbalance
+from lnbalance.model import Channel, NetworkGraph, RebalanceCycle, apply_circular_payment, gini_distribution
 
 
 def make_graph(specs):
@@ -60,7 +53,8 @@ def oracle_routes(g):
 
 
 def route_bottleneck(g, s, t):
-    return RouteCache(g).bottlenecks([(s, t)]).tolist()[0]
+    targets = [u for u in g.nodes() if u != s]
+    return RouteCache(g).bottlenecks([s]).tolist()[targets.index(t)]
 
 
 class TestCheapestPath:
@@ -236,7 +230,6 @@ class TestEvaluateNetwork:
         values = sorted(RouteCache(g).bottlenecks().tolist())
         assert report.success_rate == sum(1 for v in values if v >= 1) / len(values)
         assert report.median_payment_sat == values[(len(values) - 1) // 2]
-        assert report.gini_values == gini_distribution(g)
         assert report.payment_size_cdf[-1][1] == 1.0
         assert report.sampled_pairs is None
 
@@ -249,8 +242,29 @@ class TestEvaluateNetwork:
         g = allocate_funds_coinflip(records, seed=4)
         a = evaluate_network(g, sample_pairs=50, seed=9)
         b = evaluate_network(g, sample_pairs=50, seed=9)
-        assert a.success_rate == b.success_rate
-        assert a.sampled_pairs == 50
+        assert a == b
+        # every pair of ceil(50 / 29) = 2 sources
+        assert a.sampled_pairs == 58
+
+    def test_sampled_evaluation_builds_one_tree_per_drawn_source(self):
+        records = generate_synthetic(30, 2, (100, 10_000), seed=4)
+        g = allocate_funds_coinflip(records, seed=4)
+        n = g.num_nodes()
+        for k in (1, n - 1, n, 5 * (n - 1) + 1, n * (n - 1)):
+            routes = RouteCache(g)
+            report = evaluate_network(g, sample_pairs=k, seed=3, routes=routes)
+            assert len(routes._trees) == -(-k // (n - 1))
+            assert report.sampled_pairs == len(routes._trees) * (n - 1)
+
+    def test_sample_of_all_sources_is_the_full_evaluation(self):
+        records = generate_synthetic(30, 2, (100, 10_000), seed=4)
+        g = allocate_funds_coinflip(records, seed=4)
+        n = g.num_nodes()
+        full = evaluate_network(g, 50)
+        # (n - 1)^2 + 1 is the least N that needs all n sources
+        for k in ((n - 1) ** 2 + 1, n * (n - 1), n * (n - 1) + 10**6):
+            sampled = evaluate_network(g, 50, sample_pairs=k, seed=1)
+            assert vars(sampled) == {**vars(full), "sampled_pairs": n * (n - 1)}
 
 
 def reference_report(g, routes, pairs, amount, sampled):
@@ -267,8 +281,6 @@ def reference_report(g, routes, pairs, amount, sampled):
             for i, v in enumerate(values, start=1)
             if i == len(values) or values[i] != v
         ],
-        "gini_values": gini_distribution(g),
-        "network_imbalance": network_imbalance(g),
         "amount_sat": amount,
         "sampled_pairs": sampled,
     }
@@ -302,7 +314,8 @@ class TestRouteCache:
             assert vars(full) == reference_report(g, oracle, all_pairs, amount, None)
             k, sample_seed = rng.randint(1, len(all_pairs)), rng.randint(0, 99)
             sampled = evaluate_network(g, amount, sample_pairs=k, seed=sample_seed, routes=routes)
-            pairs = _sample_ordered_pairs(nodes, k, sample_seed)
+            drawn = random.Random(sample_seed).sample(nodes, -(-k // (len(nodes) - 1)))
+            pairs = [(s, t) for s, t in all_pairs if s in drawn]
             assert vars(sampled) == reference_report(g, oracle, pairs, amount, len(pairs))
             # one random executable circular payment moves balances, not routes
             u = rng.choice(nodes)

@@ -131,26 +131,35 @@ class TestMaxAgreeableAmount:
     def test_band_example(self):
         # x = node 0: out 8/10, in 2/10, nu = 0.5
         g = make_graph([(0, 1, 10, 8), (0, 2, 10, 2)])
-        assert max_agreeable_amount(g, 0, in_cid=1, out_cid=0, requested=10, totals=node_totals(g, 0)) == 3
+        assert max_agreeable_amount(
+            g, 0, in_cid=1, out_cid=0, requested=10, totals=node_totals(g, 0), current_gini=node_gini(g, 0)
+        ) == 3
 
     def test_band_declines_when_out_below_nu(self):
         g = make_graph([(0, 1, 10, 2), (0, 2, 10, 8)])
-        assert max_agreeable_amount(g, 0, in_cid=1, out_cid=0, requested=5, totals=node_totals(g, 0)) == 0
+        assert max_agreeable_amount(
+            g, 0, in_cid=1, out_cid=0, requested=5, totals=node_totals(g, 0), current_gini=node_gini(g, 0)
+        ) == 0
 
     def test_band_small_request_granted(self):
         g = make_graph([(0, 1, 10, 10), (0, 2, 10, 0)])
-        assert max_agreeable_amount(g, 0, in_cid=1, out_cid=0, requested=1, totals=node_totals(g, 0)) == 1
+        assert max_agreeable_amount(
+            g, 0, in_cid=1, out_cid=0, requested=1, totals=node_totals(g, 0), current_gini=node_gini(g, 0)
+        ) == 1
 
     def test_same_channel_rejected(self):
         g = make_graph([(0, 1, 10, 5), (0, 2, 10, 5)])
         with pytest.raises(ValueError):
-            max_agreeable_amount(g, 0, in_cid=0, out_cid=0, requested=1, totals=node_totals(g, 0))
+            max_agreeable_amount(
+                g, 0, in_cid=0, out_cid=0, requested=1, totals=node_totals(g, 0), current_gini=node_gini(g, 0)
+            )
 
     def test_gini_mode_never_increases_gini(self):
         g = make_graph([(0, 1, 10, 8), (0, 2, 10, 2), (0, 3, 50, 25)])
         before = node_gini(g, 0)
         granted = max_agreeable_amount(
-            g, 0, in_cid=1, out_cid=0, requested=10, totals=node_totals(g, 0), mode="gini"
+            g, 0, in_cid=1, out_cid=0, requested=10, totals=node_totals(g, 0),
+            current_gini=node_gini(g, 0), mode="gini",
         )
         assert granted > 0
         shift(g, 0, 0, granted)
@@ -160,9 +169,12 @@ class TestMaxAgreeableAmount:
     def test_gini_mode_can_exceed_band(self):
         # out way above nu, in slightly below: band is tight, gini allows more
         g = make_graph([(0, 1, 100, 100), (0, 2, 100, 40), (0, 3, 100, 0)])
-        band = max_agreeable_amount(g, 0, in_cid=2, out_cid=0, requested=100, totals=node_totals(g, 0))
+        band = max_agreeable_amount(
+            g, 0, in_cid=2, out_cid=0, requested=100, totals=node_totals(g, 0), current_gini=node_gini(g, 0)
+        )
         gini_amt = max_agreeable_amount(
-            g, 0, in_cid=2, out_cid=0, requested=100, totals=node_totals(g, 0), mode="gini"
+            g, 0, in_cid=2, out_cid=0, requested=100, totals=node_totals(g, 0),
+            current_gini=node_gini(g, 0), mode="gini",
         )
         assert gini_amt >= band
 
@@ -174,7 +186,9 @@ class TestMaxAgreeableAmount:
         _, _, cap_in, b_in = specs[in_cid]
         requested = data.draw(st.integers(min_value=1, max_value=cap_out + 1))
         g = make_graph(specs)
-        granted = max_agreeable_amount(g, 0, in_cid, out_cid, requested, node_totals(g, 0), mode="gini")
+        granted = max_agreeable_amount(
+            g, 0, in_cid, out_cid, requested, node_totals(g, 0), node_gini(g, 0), mode="gini"
+        )
 
         def gini_after(amount):
             # rebuilt from shifted balances: shares no code with the bisection's probes
@@ -203,7 +217,9 @@ class TestMaxAgreeableAmount:
         b_other = data.draw(st.integers(min_value=0, max_value=cap_other))
         requested = data.draw(st.integers(min_value=1, max_value=cap_out + 1))
         g = make_graph([(0, 1, cap_out, b_out), (0, 2, cap_in, b_in), (0, 3, cap_other, b_other)])
-        granted = max_agreeable_amount(g, 0, in_cid=1, out_cid=0, requested=requested, totals=node_totals(g, 0))
+        granted = max_agreeable_amount(
+            g, 0, in_cid=1, out_cid=0, requested=requested, totals=node_totals(g, 0), current_gini=node_gini(g, 0)
+        )
         assert 0 <= granted <= min(requested, b_out)
         if granted:
             tau = b_out + b_in + b_other
@@ -338,7 +354,7 @@ class TestAttemptRebalance:
         assert check_sink_condition(g, 0, 3, totals[0])
         assert desired_amount(g, 0, 0, totals[0]) == 5
         for (_, _, in_cid), (x, _, out_cid) in zip(hops, hops[1:]):
-            assert max_agreeable_amount(g, x, in_cid, out_cid, 5, totals[x]) == 5
+            assert max_agreeable_amount(g, x, in_cid, out_cid, 5, totals[x], node_gini(g, x)) == 5
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
         ledger = FeeLedger()
         with pytest.raises(ValueError, match="^initiator may appear only at the cycle ends$"):
