@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .cycles import Strategy, enumerate_cycles, foaf_node_set
+from .cycles import Strategy, enumerate_cycles
 from .evaluation import (
     EvaluationReport,
     RouteCache,
@@ -60,7 +60,6 @@ __all__ = [
     "desired_amount",
     "enumerate_cycles",
     "evaluate_network",
-    "foaf_node_set",
     "generate_synthetic",
     "gini_distribution",
     "ks_distance",

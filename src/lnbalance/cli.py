@@ -44,6 +44,7 @@ from . import __version__
 from .cycles import Strategy
 from .evaluation import RouteCache, cdf_points, evaluate_network, ks_distance
 from .ingestion import (
+    MAX_CAPACITY_SAT,
     SnapshotError,
     allocate_funds_coinflip,
     generate_synthetic,
@@ -135,8 +136,8 @@ def cmd_gen(args) -> int:
         raise UsageError("--degree must be at least 1")
     if args.nodes < args.degree + 1:
         raise UsageError("--nodes must be at least --degree + 1")
-    if args.cap_min < 1 or args.cap_max < args.cap_min:
-        raise UsageError("capacity range must satisfy 1 <= cap-min <= cap-max")
+    if not 1 <= args.cap_min <= args.cap_max <= MAX_CAPACITY_SAT:
+        raise UsageError(f"capacity range must satisfy 1 <= cap-min <= cap-max <= {MAX_CAPACITY_SAT}")
     if is_jsonl(args.output):
         raise UsageError("-o must not end in .jsonl or .json: gen writes CSV")
     records = generate_synthetic(args.nodes, args.degree, (args.cap_min, args.cap_max), args.seed)
@@ -286,7 +287,7 @@ def cmd_evaluate(args) -> int:
         write_csv(outdir / "payment_size_cdf.csv", cdf_header,
                   ([value, repr(frac)] for value, frac in report.payment_size_cdf))
         write_csv(outdir / "gini_cdf.csv", cdf_header,
-                  ([repr(float(value)), repr(frac)] for value, frac in cdf_points(gini_values)))
+                  ([repr(float(value)), repr(frac)] for value, frac in cdf_points(sorted(gini_values))))
 
     line = (
         f"success_rate {report.success_rate:.4f}, "

@@ -13,11 +13,13 @@ reproducible.  The simulation kernel validates a candidate as a
 
 The search is one depth-first walk, pruned three ways.  A breadth-first
 pass gives every node's hop distance back to the initiator, and the walk
-steps only to nodes that can still close in the hops left.  The
-initiator's closing channels are grouped by neighbour once per call, so a
-cycle closes by lookup rather than by scanning neighbours, and the last
-hop closes without descending.  Once the shorter lengths hold `cap`
-cycles the walk stops looking for longer ones, which the cap would cut.
+steps only to nodes that can still close in the hops left.  Cut at two
+hops for the foaf strategies, the one pass gives both the foaf set and
+the distances inside it.  The initiator's closing channels are grouped by
+neighbour once per call, so a cycle closes by lookup rather than by
+scanning neighbours, and the last hop closes without descending.  Once
+the shorter lengths hold `cap` cycles the walk stops looking for longer
+ones, which the cap would cut.
 """
 
 from __future__ import annotations
@@ -48,16 +50,7 @@ class Strategy(Enum):
 DEFAULT_FOAF_MAX_LEN = 6
 
 
-def foaf_node_set(g: NetworkGraph, u: int) -> set[int]:
-    """`u`, its neighbors, and their neighbors (distance <= 2, undirected)."""
-    neighbors = {nb for _, nb in g.incident(u)}
-    out = {u} | neighbors
-    for v in neighbors:
-        out.update(nb for _, nb in g.incident(v))
-    return out
-
-
-def _bfs_distances(g: NetworkGraph, target: int, allowed: set[int] | None, limit: int) -> dict[int, int]:
+def _bfs_distances(g: NetworkGraph, target: int, limit: int) -> dict[int, int]:
     """Hop distance to `target` of every node within `limit` hops; farther nodes are missing."""
     dist = {target: 0}
     queue = deque([target])
@@ -66,7 +59,7 @@ def _bfs_distances(g: NetworkGraph, target: int, allowed: set[int] | None, limit
         if dist[v] == limit:
             break  # every node still queued is as far as v
         for _, nb in g.incident(v):
-            if nb in dist or (allowed is not None and nb not in allowed):
+            if nb in dist:
                 continue
             dist[nb] = dist[v] + 1
             queue.append(nb)
@@ -104,9 +97,9 @@ def enumerate_cycles(
     if cap < 1:
         raise ValueError("cycle cap must be at least 1")
     v = g.channel(cid).peer(initiator)
-    allowed = foaf_node_set(g, initiator) if strategy.foaf_restricted else None
     max_len = {Strategy.CYCLE4: 4, Strategy.CYCLE5: 5}.get(strategy, DEFAULT_FOAF_MAX_LEN)
-    dist = _bfs_distances(g, initiator, allowed, max_len - 2)
+    # the foaf set is the two-hop ball, and a shortest path into it never leaves it
+    dist = _bfs_distances(g, initiator, 2 if strategy.foaf_restricted else max_len - 2)
     closers: dict[int, list[tuple[int, int, int]]] = {}
     for nb, cc in g.incident_by_neighbor(initiator):
         if cc != cid:

@@ -12,7 +12,9 @@ payment changes neither: it moves balances alone.  So the cheapest-path
 tree of each source stays valid for the whole of a simulation run, and a
 :class:`RouteCache` computes it once per graph.  Each later evaluation
 only reads the current balances down the cached trees.  A sampled
-evaluation draws sources and builds the trees of those alone.
+evaluation draws sources and builds the trees of those alone.  Each
+source's own entry in its row is unbounded and sorts last, so one sorted
+array, cut before those entries, serves every statistic.
 """
 
 from __future__ import annotations
@@ -112,16 +114,14 @@ class RouteCache:
             self._trees[source] = tree
         return tree
 
-    def bottlenecks(self, sources: Sequence[int] | None = None) -> np.ndarray:
-        """Bottlenecks from each of `sources` (all nodes by default) to every other node.
+    def bottlenecks(self, sources: Sequence[int]) -> np.ndarray:
+        """Bottlenecks from each of `sources` to every node, one row per source.
 
-        Row-major: one row per source in the given order, its targets in
-        node order with the source itself left out.  Only the trees of
-        `sources` are built.
+        Rows follow `sources`, columns the node order.  A source's own
+        entry is `_UNBOUNDED`, which no real bottleneck exceeds.  Only
+        the trees of `sources` are built.
         """
         g, index = self._graph, self._index
-        if sources is None:
-            sources = g.nodes()
         balances = np.fromiter(
             itertools.chain.from_iterable((ch.balance_a, ch.balance_b) for ch in g.channels.values()),
             dtype=np.int64,
@@ -136,7 +136,7 @@ class RouteCache:
                 targets, preds, slots = tree[:, start:end]
                 row[targets] = np.minimum(row[preds], balances[slots])
                 start = end
-        return np.delete(rows, [k * len(index) + index[s] for k, s in enumerate(sources)])
+        return rows
 
 
 def ks_distance(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
@@ -151,9 +151,9 @@ def ks_distance(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def cdf_points(values: Sequence[float]) -> list[tuple[float, float]]:
-    """(value, cumulative fraction) at each distinct value, ascending."""
-    ordered = np.sort(np.asarray(values))
+def cdf_points(ordered: Sequence[float]) -> list[tuple[float, float]]:
+    """(value, cumulative fraction) at each distinct value of the ascending `ordered`."""
+    ordered = np.asarray(ordered)
     n = ordered.size
     if n == 0:
         return []
@@ -188,16 +188,20 @@ def evaluate_network(
         routes = RouteCache(g)
     elif routes._graph is not g:
         raise ValueError("route cache used with a graph it was not built for")
-    sources = sampled = None
+    sources, sampled = nodes, None
     if sample_pairs is not None:
         if sample_pairs < 1:
             raise ValueError("sample_pairs must be at least 1")
         count = min(-(-sample_pairs // (n - 1)), n)
         sources = random.Random(seed).sample(nodes, count)
         sampled = count * (n - 1)
-    ordered = np.sort(routes.bottlenecks(sources))
+    ordered = routes.bottlenecks(sources).ravel()
+    ordered.sort()
+    ordered = ordered[: -len(sources)]  # the sources' own, unbounded entries sort last
+    # numpy compares an amount past int64 as a float, and no channel holds that much
+    blocked = np.searchsorted(ordered, amount) if amount <= _UNBOUNDED else ordered.size
     return EvaluationReport(
-        success_rate=int(np.count_nonzero(ordered >= amount)) / ordered.size,
+        success_rate=(ordered.size - int(blocked)) / ordered.size,
         median_payment_sat=ordered[(ordered.size - 1) // 2].item(),
         payment_size_cdf=cdf_points(ordered),
         amount_sat=amount,

@@ -30,6 +30,7 @@ from .model import Channel, NetworkGraph
 
 SNAPSHOT_COLUMNS = ["node_a", "node_b", "capacity_sat", "base_fee_msat", "fee_rate_ppm"]
 STATE_COLUMNS = SNAPSHOT_COLUMNS + ["balance_a_sat", "balance_b_sat"]
+MAX_CAPACITY_SAT = 2**63 - 1  # evaluation reads balances as int64
 
 DEFAULT_BASE_FEE_MSAT = 1000
 DEFAULT_FEE_RATE_PPM = 1
@@ -56,8 +57,8 @@ class SnapshotRecord:
             raise ValueError(f"self-channel on node {self.node_a!r}")
         if "\r" in self.node_a or "\r" in self.node_b:
             raise ValueError("a node id may not contain a carriage return")
-        if self.capacity_sat <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity_sat}")
+        if not 0 < self.capacity_sat <= MAX_CAPACITY_SAT:
+            raise ValueError(f"capacity must be in 1..{MAX_CAPACITY_SAT}, got {self.capacity_sat}")
         if self.base_fee_msat < 0 or self.fee_rate_ppm < 0:
             raise ValueError("fee parameters must be non-negative")
 

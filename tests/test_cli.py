@@ -398,3 +398,47 @@ def test_invariant_violation_exits_4(snapshot, tmp_path, capsys, monkeypatch):
     assert "invariant violation: node 0 total funds changed" in capsys.readouterr().err
     # neither the bundle nor its staging directory is left behind
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        pytest.param(["simulate", "--strategy", "cycle4", "--seed", "1"],
+                     "node_a,node_b,capacity_sat,base_fee_msat,fee_rate_ppm\n"
+                     f"b,c,10,1000,1\na,b,{2**63},1000,1\n", id="snapshot"),
+        pytest.param(["evaluate"],
+                     "node_a,node_b,capacity_sat,base_fee_msat,fee_rate_ppm,balance_a_sat,balance_b_sat\n"
+                     f"b,c,10,1000,1,5,5\na,b,{2**63},1000,1,{2**63},0\n", id="state"),
+    ],
+)
+def test_capacity_past_int64_exits_3_and_publishes_nothing(command, text, tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main([*command, "-i", str(path), "-o", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"error: {path}:3: capacity must be in 1..{2**63 - 1}, got {2**63}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+
+def test_gen_cap_max_past_int64_exits_2_and_writes_nothing(tmp_path, capsys):
+    argv = ["gen", "--nodes", "12", "--degree", "2", "--cap-max", str(2**63), "--seed", "1",
+            "-o", str(tmp_path / "s.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("amount", ["above-every-bottleneck", str(10**20)])
+def test_evaluate_amount_nothing_can_carry(amount, bundle, tmp_path, capsys):
+    final = bundle / "final_state.csv"
+    assert main(["evaluate", "-i", str(final), "-o", str(tmp_path / "one")]) == 0
+    one = json.loads((tmp_path / "one" / "report.json").read_text(encoding="utf-8"))
+    cdf = (tmp_path / "one" / "payment_size_cdf.csv").read_text(encoding="utf-8")
+    if amount == "above-every-bottleneck":
+        amount = str(int(cdf.splitlines()[-1].split(",")[0]) + 1)
+    assert main(["evaluate", "-i", str(final), "--amount", amount, "-o", str(tmp_path / "big")]) == 0
+    big = json.loads((tmp_path / "big" / "report.json").read_text(encoding="utf-8"))
+    assert big["success_rate"] == 0.0
+    assert big["amount_sat"] == int(amount)
+    assert big["median_payment_sat"] == one["median_payment_sat"]
+    assert (tmp_path / "big" / "payment_size_cdf.csv").read_text(encoding="utf-8") == cdf

@@ -246,6 +246,48 @@ def test_band_rules_match_rational_definitions(specs, divisor):
             assert desired_amount(g, u, cid, totals, divisor) == expected
 
 
+def weighted_gini(g, u):
+    """u's capacity-weighted Gini, sum |b_i c_j - b_j c_i| / (2 kappa tau) over its channels, exact."""
+    sides = [(g.channels[cid].balance(u), g.channels[cid].capacity) for cid, _ in g.incident(u)]
+    tau, kappa = node_totals(g, u)
+    if tau == 0:
+        return Fraction(0)
+    spread = sum(abs(bi * cj - bj * ci) for bi, ci in sides for bj, cj in sides)
+    return Fraction(spread, 2 * kappa * tau)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs=star_specs(), data=st.data())
+def test_band_moves_never_raise_the_capacity_weighted_gini(specs, data):
+    """Band agreement leaves the intermediary no worse off in the Gini weighted by capacity.
+
+    The weighted numerator is convex in the amount and the denominator
+    fixed, so not rising at the granted amount means not rising at any
+    smaller one; and every smaller amount is granted when requested.
+    """
+    out_cid, in_cid = data.draw(st.permutations(range(len(specs))))[:2]
+    requested = data.draw(st.integers(min_value=1, max_value=specs[out_cid][2] + 1))
+    g = make_graph(specs)
+    before = weighted_gini(g, 0)
+    granted = max_agreeable_amount(g, 0, in_cid, out_cid, requested, node_totals(g, 0), node_gini(g, 0))
+    shift(g, out_cid, 0, granted)
+    shift(g, in_cid, specs[in_cid][1], granted)
+    assert weighted_gini(g, 0) <= before
+
+
+def test_band_move_can_raise_the_unweighted_gini():
+    # nu = 10 / 30; out channel 1 goes 5 -> 2 of 5, in channel 0 goes 3 -> 6 of 23
+    g = make_graph([(0, 1, 23, 3), (0, 2, 5, 5), (0, 3, 2, 2)])
+    assert max_agreeable_amount(g, 0, in_cid=0, out_cid=1, requested=3, totals=node_totals(g, 0),
+                                current_gini=node_gini(g, 0)) == 3
+    before = (node_gini(g, 0), weighted_gini(g, 0))
+    shift(g, 1, 0, 3)
+    shift(g, 0, 1, 3)
+    after = (node_gini(g, 0), weighted_gini(g, 0))
+    assert before == (pytest.approx(0.272, abs=5e-4), Fraction(7, 15))
+    assert after == (pytest.approx(0.297, abs=5e-4), Fraction(14, 75))
+
+
 class TestSinkCondition:
     def test_underfunded_sink_is_true(self):
         g = make_graph([(0, 1, 10, 2), (0, 2, 10, 8)])
