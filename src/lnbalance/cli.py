@@ -44,7 +44,6 @@ from . import __version__
 from .cycles import Strategy
 from .evaluation import RouteCache, cdf_points, evaluate_network, ks_distance
 from .ingestion import (
-    MAX_CAPACITY_SAT,
     SnapshotError,
     allocate_funds_coinflip,
     generate_synthetic,
@@ -56,7 +55,7 @@ from .ingestion import (
     write_snapshot,
     write_state,
 )
-from .model import InvariantViolation, NetworkGraph, gini_distribution
+from .model import MAX_CAPACITY_SAT, InvariantViolation, NetworkGraph, gini_distribution
 from .rebalancer import AGREEMENT_MODES, SimulationConfig, SimulationResult, run_simulation
 
 SIMULATE_OUTPUTS = [

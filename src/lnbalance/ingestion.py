@@ -26,11 +26,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .model import Channel, NetworkGraph
+from .model import MAX_CAPACITY_SAT, Channel, NetworkGraph
 
 SNAPSHOT_COLUMNS = ["node_a", "node_b", "capacity_sat", "base_fee_msat", "fee_rate_ppm"]
 STATE_COLUMNS = SNAPSHOT_COLUMNS + ["balance_a_sat", "balance_b_sat"]
-MAX_CAPACITY_SAT = 2**63 - 1  # evaluation reads balances as int64
 
 DEFAULT_BASE_FEE_MSAT = 1000
 DEFAULT_FEE_RATE_PPM = 1

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
+MAX_CAPACITY_SAT = 2**63 - 1  # evaluation reads balances as int64
+
+
 class InsufficientBalanceError(RuntimeError):
     """A circular payment hop would overdraw the sender's balance."""
 
@@ -29,9 +32,10 @@ class Channel:
     """Undirected capacity edge with two private directed balances.
 
     Balances are integer satoshi and must sum to the capacity at all
-    times.  Fee parameters describe what forwarding through this channel
-    would cost: a fixed base fee (millisatoshi) plus a proportional rate
-    (parts per million of the forwarded amount).
+    times; the capacity is at most `MAX_CAPACITY_SAT`.  Fee parameters
+    describe what forwarding through this channel would cost: a fixed
+    base fee (millisatoshi) plus a proportional rate (parts per million
+    of the forwarded amount).
     """
 
     cid: int
@@ -46,8 +50,8 @@ class Channel:
     def __post_init__(self):
         if self.node_a == self.node_b:
             raise ValueError(f"channel {self.cid}: self-channels are not allowed")
-        if self.capacity <= 0:
-            raise ValueError(f"channel {self.cid}: capacity must be positive")
+        if not 0 < self.capacity <= MAX_CAPACITY_SAT:
+            raise ValueError(f"channel {self.cid}: capacity must be in 1..{MAX_CAPACITY_SAT}, got {self.capacity}")
         if self.balance_a < 0 or self.balance_b < 0:
             raise ValueError(f"channel {self.cid}: balances must be non-negative")
         if self.balance_a + self.balance_b != self.capacity:

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable, Mapping
 
 from .cycles import Hops, Strategy, enumerate_cycles
@@ -168,19 +170,35 @@ def _band_bound(
 
 
 def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: int, before: float) -> int:
-    """Largest amount (found by bisection) that does not raise x's Gini `before`.
+    """Largest amount that does not raise x's Gini `before`, solved on a convex excess.
 
-    The amounts that do not raise it form an interval starting at 0: the
-    Gini numerator is convex in the amount and its denominator affine.
-    x's coefficient vector is built once, in `incident` order, so its `gini`
-    is `before`, x's Gini-table entry; each probe rewrites two entries.
+    Forwarding a moves only two of x's n coefficients, each linearly:
+    z_o = (b_out - a) / c_out and z_i = (b_in + a) / c_in.  With N the
+    pairwise-difference numerator sum_{k<l} |z_k - z_l| and S the
+    coefficient sum, the Gini N / (n S) stays at most `before` exactly
+    where h(a) = N(a) - before * n * S(a) <= 0.  N is a sum of absolute
+    values of affine functions of a and S is affine, so h is convex and
+    piecewise linear, and h(0) = 0: the amounts that do not raise the
+    Gini form an interval [0, root].  The other n - 2 coefficients are
+    sorted once with their prefix sums, so h and its slope cost one
+    `bisect` per moved coefficient.  Newton's method from `bound`, where
+    the Gini rises, moves left; on a convex h it never passes the root,
+    and it lands on it within a few pieces.
+
+    The float root only seeds the answer.  x's coefficient vector is
+    built once, in `incident` order, so its `gini` is `before`, x's
+    Gini-table entry; the float test `gini(vector shifted by a) <= before`
+    decides, walking one unit from the root's floor until a passes it
+    and a + 1 does not (or a + 1 is `bound`, which failed it).
     """
     out_ch = g.channels[out_cid]
     in_ch = g.channels[in_cid]
     b_out = out_ch.balance(x)
     b_in = in_ch.balance(x)
+    c_out = out_ch.capacity
+    c_in = in_ch.capacity
     # receivable headroom caps the hypothetical shift at a sane coefficient
-    bound = min(requested, b_out, in_ch.capacity - b_in)
+    bound = min(requested, b_out, c_in - b_in)
     if bound < 1:
         return 0
     cids = [cid for cid, _ in g.incident(x)]
@@ -189,19 +207,51 @@ def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: i
     i_in = cids.index(in_cid)
 
     def feasible(a: int) -> bool:
-        zetas[i_out] = (b_out - a) / out_ch.capacity
-        zetas[i_in] = (b_in + a) / in_ch.capacity
+        zetas[i_out] = (b_out - a) / c_out
+        zetas[i_in] = (b_in + a) / c_in
         return gini(zetas) <= before
 
     if feasible(bound):
         return bound
-    lo, hi = 0, bound - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid - 1
+    others = sorted(z for i, z in enumerate(zetas) if i != i_out and i != i_in)
+    m = len(others)
+    prefix = [0.0, *accumulate(others)]
+    weight = before * len(zetas)
+
+    def excess(a: float) -> tuple[float, float]:
+        """h(a) plus a constant, and h's slope just left of a."""
+        z_o = (b_out - a) / c_out
+        z_i = (b_in + a) / c_in
+        # k others lie at or below z_o, j strictly below z_i
+        k = bisect_right(others, z_o)
+        j = bisect_left(others, z_i)
+        # over the others, sum |z - v| = z (2c - m) + sum(others) - 2 prefix[c],
+        # c counting those below z; the terms that do not move with a are dropped
+        value = (
+            z_o * (2 * k - m) - 2 * prefix[k]
+            + z_i * (2 * j - m) - 2 * prefix[j]
+            + abs(z_o - z_i) - weight * (z_o + z_i)
+        )
+        pair = (1 / c_out + 1 / c_in) if z_o >= z_i else -(1 / c_out + 1 / c_in)
+        slope = (m - 2 * k) / c_out + (2 * j - m) / c_in - pair + weight * (1 / c_out - 1 / c_in)
+        return value, slope
+
+    origin, _ = excess(0)
+    a = float(bound)
+    # a convex h lies above its tangents, so each step stays right of the root
+    while a > 0:
+        value, slope = excess(a)
+        if value <= origin or slope <= 0:
+            break
+        a_next = a - (value - origin) / slope
+        if a_next >= a:
+            break
+        a = a_next
+    lo = min(max(math.floor(a), 0), bound - 1)
+    while lo > 0 and not feasible(lo):
+        lo -= 1
+    while lo + 1 < bound and feasible(lo + 1):
+        lo += 1
     return lo
 
 
@@ -263,6 +313,12 @@ def record_fees(ledger: FeeLedger, g: NetworkGraph, cycle: RebalanceCycle, amoun
     ledger.debit(cycle.initiator, total)
 
 
+def _proposed_amount(g: NetworkGraph, u: int, cid: int, totals: tuple[int, int], config: SimulationConfig) -> int:
+    """u's desired amount on `cid`, split when the strategy splits amounts."""
+    divisor = config.mpp_divisor if config.strategy.splits_amount else 1
+    return desired_amount(g, u, cid, totals, divisor)
+
+
 def attempt_rebalance(
     g: NetworkGraph,
     hops: Hops,
@@ -288,8 +344,7 @@ def attempt_rebalance(
     u, _, cid = hops[0]
     if config.require_sink_condition and not check_sink_condition(g, u, hops[-1][2], totals[u]):
         return None
-    divisor = config.mpp_divisor if config.strategy.splits_amount else 1
-    amount = desired_amount(g, u, cid, totals[u], divisor)
+    amount = _proposed_amount(g, u, cid, totals[u], config)
     if amount < config.min_amount:
         return None
     for (_, _, in_cid), (x, _, out_cid) in zip(hops, hops[1:]):
@@ -352,7 +407,9 @@ def run_simulation(
     Each sweep visits the nodes in seeded-random order; an active node
     (Gini above the convergence threshold, nonempty candidate set) picks a
     random candidate channel and works through its cycle candidates in
-    seeded-shuffled order until one executes.  Terminates after a sweep
+    seeded-shuffled order until one executes.  When the amount it proposes
+    on that channel is below `min_amount`, no cycle is tried; the shuffle
+    still runs, so the random stream is the same.  Terminates after a sweep
     with zero executed operations or at `max_operations`.  Whenever the
     network imbalance first falls below a new 0.01 grid value, `sampler`
     is called once on the graph and a sample stores what it returns, as
@@ -400,6 +457,9 @@ def run_simulation(
                 continue
             indices = list(range(len(cyc)))
             rng.shuffle(indices)
+            # the amount u proposes depends only on (u, cid): too small fails every cycle
+            if _proposed_amount(g, u, cid, totals[u], config) < config.min_amount:
+                continue
             for i in indices:
                 executed = attempt_rebalance(g, cyc[i], config, ledger, totals, ginis)
                 if executed is None:

@@ -58,6 +58,12 @@ class TestChannel:
         with pytest.raises(ValueError):
             Channel(cid=0, node_a=0, node_b=1, capacity=0, balance_a=0, balance_b=0)
 
+    def test_rejects_capacity_past_int64(self):
+        # evaluation reads balances as int64; 2**63 - 1 is the largest capacity
+        Channel(0, 0, 1, 2**63 - 1, 2**63 - 1, 0)
+        with pytest.raises(ValueError, match=f"capacity must be in 1..{2**63 - 1}, got {2**63}"):
+            Channel(0, 0, 1, 2**63, 2**63, 0)
+
 
 class TestBalanceCoefficient:
     """The channel balance coefficient zeta, as `Channel.zeta` computes it."""

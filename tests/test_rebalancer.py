@@ -14,6 +14,7 @@ from lnbalance.model import (
     InvariantViolation,
     NetworkGraph,
     RebalanceCycle,
+    gini,
     network_imbalance,
     node_gini,
     node_totals,
@@ -227,6 +228,90 @@ class TestMaxAgreeableAmount:
             # still on the original side of nu after the shift
             assert (b_out - granted) * kappa >= tau * cap_out
             assert (b_in + granted) * kappa <= tau * cap_in
+
+
+def bisected_gini_bound(g, x, in_cid, out_cid, requested, before):
+    """Reference oracle for the gini bound: bisection over the same float test.
+
+    The amounts that do not raise x's Gini form an interval starting at 0,
+    so bisection finds its end with about log2(bound) full `gini` probes.
+    """
+    out_ch = g.channels[out_cid]
+    in_ch = g.channels[in_cid]
+    b_out = out_ch.balance(x)
+    b_in = in_ch.balance(x)
+    bound = min(requested, b_out, in_ch.capacity - b_in)
+    if bound < 1:
+        return 0
+    cids = [cid for cid, _ in g.incident(x)]
+    zetas = [g.channels[cid].zeta(x) for cid in cids]
+    i_out = cids.index(out_cid)
+    i_in = cids.index(in_cid)
+
+    def feasible(a):
+        zetas[i_out] = (b_out - a) / out_ch.capacity
+        zetas[i_in] = (b_in + a) / in_ch.capacity
+        return gini(zetas) <= before
+
+    if feasible(bound):
+        return bound
+    lo, hi = 0, bound - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@st.composite
+def wide_star(draw):
+    """(specs, out_cid, in_cid, requested) for a star of 2-120 channels around node 0.
+
+    Capacities come from a pool of at most four values and balances often
+    sit at 0, a quarter, a half or all of the capacity, so coefficients
+    tie; the in channel may take the out channel's capacity.  `requested`
+    runs from 1 to one past the out balance.
+    """
+    n = draw(st.integers(min_value=2, max_value=120))
+    pool = draw(st.lists(st.integers(min_value=1, max_value=10**9), min_size=1, max_size=4))
+    specs = []
+    for peer in range(1, n + 1):
+        cap = draw(st.sampled_from(pool))
+        bal = draw(st.one_of(st.sampled_from([0, cap // 4, cap // 2, cap]), st.integers(min_value=0, max_value=cap)))
+        specs.append((0, peer, cap, bal))
+    out_cid = draw(st.integers(min_value=0, max_value=n - 1))
+    in_cid = draw(st.integers(min_value=0, max_value=n - 2))
+    in_cid += in_cid >= out_cid
+    if draw(st.booleans()):
+        cap = specs[out_cid][2]
+        specs[in_cid] = (0, specs[in_cid][1], cap, draw(st.integers(min_value=0, max_value=cap)))
+    requested = draw(st.integers(min_value=1, max_value=specs[out_cid][3] + 1))
+    return specs, out_cid, in_cid, requested
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=wide_star())
+def test_gini_bound_matches_the_bisection(case):
+    specs, out_cid, in_cid, requested = case
+    g = make_graph(specs)
+    before = node_gini(g, 0)
+    granted = max_agreeable_amount(g, 0, in_cid, out_cid, requested, node_totals(g, 0), before, mode="gini")
+    assert granted == bisected_gini_bound(g, 0, in_cid, out_cid, requested, before)
+
+
+def test_gini_run_matches_the_bisection(monkeypatch):
+    records = generate_synthetic(200, 5, (10_000, 10_000_000), 5)
+
+    def graph():
+        return largest_scc(allocate_funds_coinflip(records, 5))
+
+    cfg = config(seed=5, agreement_mode="gini", max_operations=200)
+    solved = run_simulation(graph(), cfg).operations
+    assert len(solved) == 200
+    monkeypatch.setattr(rebalancer, "_gini_bound", bisected_gini_bound)
+    assert run_simulation(graph(), cfg).operations == solved
 
 
 @settings(max_examples=300, deadline=None)
