@@ -17,9 +17,7 @@ steps only to nodes that can still close in the hops left.  Cut at two
 hops for the foaf strategies, the one pass gives both the foaf set and
 the distances inside it.  The initiator's closing channels are grouped by
 neighbour once per call, so a cycle closes by lookup rather than by
-scanning neighbours, and the last hop closes without descending.  Once
-the shorter lengths hold `cap` cycles the walk stops looking for longer
-ones, which the cap would cut.
+scanning neighbours, and the last hop closes without descending.
 """
 
 from __future__ import annotations
@@ -90,9 +88,7 @@ def enumerate_cycles(
     distance to the initiator (inside the foaf set, for the foaf
     strategies) still fits the hops left; those steps are listed once per
     (node, hops left) and call.  With one hop left it closes at the
-    neighbour without descending.  Once lengths 2..L together hold `cap`
-    cycles, no longer cycle can make the cut, so the walk lowers its
-    length limit to L.
+    neighbour without descending.
     """
     if cap < 1:
         raise ValueError("cycle cap must be at least 1")
@@ -110,22 +106,6 @@ def enumerate_cycles(
     steps_at: list[dict[int, list[tuple[int, Hops]]]] = [{} for _ in range(max_len)]
     by_length: list[list[Hops]] = [[] for _ in range(max_len + 1)]
     on_path = {initiator, v}
-    limit = max_len
-    shorter = 0  # cycles kept that are shorter than `limit`
-
-    def kept(length: int) -> None:
-        """Count a cycle just kept; lower `limit` once shorter cycles fill the cap."""
-        nonlocal limit, shorter
-        if length < limit:
-            shorter += 1
-            if shorter == cap:
-                total = 0
-                for top in range(2, limit):
-                    total += len(by_length[top])
-                    if total >= cap:
-                        break
-                limit = top
-                shorter = total - len(by_length[top])
 
     def steps_from(current: int, budget: int) -> list[tuple[int, Hops]]:
         steps: list[tuple[int, Hops]] = []
@@ -141,14 +121,11 @@ def enumerate_cycles(
 
     def extend(current: int, path: Hops) -> None:
         n = len(path) + 1  # length of a cycle closed at `current`
-        budget = limit - n  # hops left to close after the next one
-        if budget < 0:
-            return  # the cut-off dropped this length while a sibling was walked
+        budget = max_len - n  # hops left to close after the next one
         closed = by_length[n]
         for close in closers.get(current, ()):
             if len(closed) < cap:
                 closed.append(path + (close,))
-                kept(n)
         if budget == 0:
             return
         steps = steps_at[budget].get(current)

@@ -26,13 +26,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .model import MAX_CAPACITY_SAT, Channel, NetworkGraph
+from .model import DEFAULT_BASE_FEE_MSAT, DEFAULT_FEE_RATE_PPM, MAX_CAPACITY_SAT, Channel, NetworkGraph
 
 SNAPSHOT_COLUMNS = ["node_a", "node_b", "capacity_sat", "base_fee_msat", "fee_rate_ppm"]
 STATE_COLUMNS = SNAPSHOT_COLUMNS + ["balance_a_sat", "balance_b_sat"]
-
-DEFAULT_BASE_FEE_MSAT = 1000
-DEFAULT_FEE_RATE_PPM = 1
 
 T = TypeVar("T")
 

@@ -17,6 +17,8 @@ from typing import Iterable, Mapping, Sequence
 
 
 MAX_CAPACITY_SAT = 2**63 - 1  # evaluation reads balances as int64
+DEFAULT_BASE_FEE_MSAT = 1000
+DEFAULT_FEE_RATE_PPM = 1
 
 
 class InsufficientBalanceError(RuntimeError):
@@ -44,8 +46,8 @@ class Channel:
     capacity: int
     balance_a: int
     balance_b: int
-    base_fee_msat: int = 1000
-    fee_rate_ppm: int = 1
+    base_fee_msat: int = DEFAULT_BASE_FEE_MSAT
+    fee_rate_ppm: int = DEFAULT_FEE_RATE_PPM
 
     def __post_init__(self):
         if self.node_a == self.node_b:

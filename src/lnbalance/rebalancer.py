@@ -188,8 +188,11 @@ def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: i
     The float root only seeds the answer.  x's coefficient vector is
     built once, in `incident` order, so its `gini` is `before`, x's
     Gini-table entry; the float test `gini(vector shifted by a) <= before`
-    decides, walking one unit from the root's floor until a passes it
-    and a + 1 does not (or a + 1 is `bound`, which failed it).
+    decides.  Steps that double away from the root's floor find an amount
+    that passes it and one that fails it, and bisection between them ends
+    at an a that passes while a + 1 fails (or is `bound`, which failed).
+    Where the test is monotone in a, that a is the largest passing amount;
+    either way a call makes O(log bound) probes.
     """
     out_ch = g.channels[out_cid]
     in_ch = g.channels[in_cid]
@@ -248,10 +251,25 @@ def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: i
             break
         a = a_next
     lo = min(max(math.floor(a), 0), bound - 1)
-    while lo > 0 and not feasible(lo):
-        lo -= 1
-    while lo + 1 < bound and feasible(lo + 1):
-        lo += 1
+    # step away from the root's floor, doubling, until a passing lo and a
+    # failing hi bracket the answer; 0 counts as passing and `bound` failed
+    step = 1
+    if lo > 0 and not feasible(lo):
+        lo, hi = lo - 1, lo
+        while lo > 0 and not feasible(lo):
+            step *= 2
+            lo, hi = max(lo - step, 0), lo
+    else:
+        hi = lo + 1
+        while hi < bound and feasible(hi):
+            step *= 2
+            lo, hi = hi, min(hi + step, bound)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
     return lo
 
 

@@ -314,6 +314,48 @@ def test_gini_run_matches_the_bisection(monkeypatch):
     assert run_simulation(graph(), cfg).operations == solved
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gini_bound_probes_grow_with_log_bound(data):
+    """One bound call makes O(log bound) probes, even where float coefficients blur single satoshi."""
+    n = data.draw(st.integers(min_value=3, max_value=120))
+    share = st.floats(min_value=0, max_value=1)
+    specs = []
+    for peer in range(1, n + 1):
+        cap = data.draw(st.integers(min_value=10**16, max_value=10**18))
+        specs.append((0, peer, cap, min(cap, int(cap * data.draw(share)))))  # the float product may round past cap
+    out_cid, in_cid = data.draw(st.permutations(range(n)))[:2]
+    _, _, cap_out, b_out = specs[out_cid]
+    _, _, cap_in, b_in = specs[in_cid]
+    requested = max(1, int((b_out + 1) * data.draw(share)))
+    g = make_graph(specs)
+    before = node_gini(g, 0)
+    probes = 0
+
+    def counted(values):
+        nonlocal probes
+        probes += 1
+        return gini(values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rebalancer, "gini", counted)
+        granted = rebalancer._gini_bound(g, 0, in_cid, out_cid, requested, before)
+
+    bound = min(requested, b_out, cap_in - b_in)
+    assert probes <= 2 * (bound - 1).bit_length() + 4  # (bound - 1).bit_length() is ceil(log2 bound)
+
+    def passes(amount):
+        shifted = list(specs)
+        shifted[out_cid] = (0, specs[out_cid][1], cap_out, b_out - amount)
+        shifted[in_cid] = (0, specs[in_cid][1], cap_in, b_in + amount)
+        return node_gini(make_graph(shifted), 0) <= before
+
+    assert 0 <= granted <= bound
+    if granted < bound:
+        assert passes(granted)
+        assert granted + 1 == bound or not passes(granted + 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(specs=star_specs(), divisor=st.integers(min_value=1, max_value=30))
 def test_band_rules_match_rational_definitions(specs, divisor):
