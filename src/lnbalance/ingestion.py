@@ -297,6 +297,8 @@ def generate_synthetic(
     node links to all of them and every later node attaches to
     `attach_degree` distinct existing nodes sampled proportionally to
     degree.  Total edges: attach_degree * (n_nodes - attach_degree).
+    Raises `ValueError` unless attach_degree >= 1, n_nodes >=
+    attach_degree + 1 and 1 <= low <= high <= `MAX_CAPACITY_SAT`.
     """
     m = attach_degree
     if m < 1:
@@ -304,8 +306,8 @@ def generate_synthetic(
     if n_nodes < m + 1:
         raise ValueError("n_nodes must be at least attach_degree + 1")
     cap_lo, cap_hi = capacity_range
-    if cap_lo <= 0 or cap_hi < cap_lo:
-        raise ValueError(f"invalid capacity range {capacity_range}")
+    if not 1 <= cap_lo <= cap_hi <= MAX_CAPACITY_SAT:
+        raise ValueError(f"capacity range must satisfy 1 <= low <= high <= {MAX_CAPACITY_SAT}, got {capacity_range}")
     rng = random.Random(seed)
     width = len(str(n_nodes - 1))
 

@@ -10,10 +10,11 @@ definitions and runs are bit-for-bit reproducible.
 
 Each rule has one implementation: `candidate_channels`,
 `desired_amount`, `check_sink_condition` and `max_agreeable_amount`.
-The simulation kernel `attempt_rebalance` and the unit tests call these
-same functions.  The exact comparison `_excess` (b * kappa - c * tau)
-is behind the first three and band agreement; `_check_executed`
-re-checks every executed operation with its own arithmetic.  The rules
+The simulation loop `run_simulation`, its kernel `attempt_rebalance` and
+the unit tests call these same functions.  The exact comparison `_excess`
+(b * kappa - c * tau) is behind the first three and band agreement;
+`_check_executed` re-checks every executed operation with its own
+arithmetic.  The rules
 take a node's (tau, kappa) from `node_totals` as an argument, because
 circular payments never change either total and the simulation
 computes them once per run; the check compares each node's totals
@@ -144,17 +145,13 @@ def candidate_channels(g: NetworkGraph, u: int, totals: tuple[int, int]) -> list
     return [cid for cid, _ in g.incident(u) if _excess(g, u, cid, totals) > 0]
 
 
-def desired_amount(
-    g: NetworkGraph, u: int, cid: int, totals: tuple[int, int], divisor: int = 1
-) -> int:
-    """floor(c * (zeta - nu)) for u on `cid`; the proposed rebalance size.
+def desired_amount(g: NetworkGraph, u: int, cid: int, totals: tuple[int, int]) -> int:
+    """floor(c * (zeta - nu)) for u on `cid`, clamped at 0; the proposed rebalance size.
 
-    `totals` is u's (tau, kappa) from `node_totals`.  `divisor` > 1
-    splits the amount for multi-path style rebalancing.  A result of 0
-    means the channel is skipped.  The result never exceeds u's balance
-    on `cid`, since tau * c >= 0.
+    `totals` is u's (tau, kappa) from `node_totals`.  The result never
+    exceeds u's balance on `cid`, since tau * c >= 0.
     """
-    return max(_excess(g, u, cid, totals) // totals[1] // divisor, 0)
+    return max(_excess(g, u, cid, totals) // totals[1], 0)
 
 
 def _band_bound(
@@ -194,8 +191,8 @@ def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: i
     Where the test is monotone in a, that a is the largest passing amount;
     either way a call makes O(log bound) probes.
     """
-    out_ch = g.channels[out_cid]
-    in_ch = g.channels[in_cid]
+    out_ch = g.channel(out_cid)
+    in_ch = g.channel(in_cid)
     b_out = out_ch.balance(x)
     b_in = in_ch.balance(x)
     c_out = out_ch.capacity
@@ -289,17 +286,15 @@ def max_agreeable_amount(
     `node_gini`, the run's Gini-table entry.  Band mode lets both
     touched coefficients move toward x's node coefficient without
     crossing it; gini mode accepts any amount that does not increase x's
-    Gini, preferring the largest.  The result never exceeds `requested`.
+    Gini, preferring the largest.  The result never exceeds `requested`,
+    and is 0 when `requested` < 1.  Both bounds read x's balance on each
+    channel first, so an unknown channel raises `KeyError` and a channel
+    x is not on raises `ValueError`.
     """
     if in_cid == out_cid:
         raise ValueError("in and out channel must differ")
     if mode not in AGREEMENT_MODES:
         raise ValueError(f"mode must be one of {AGREEMENT_MODES}")
-    # endpoint validation happens via balance lookups
-    g.channel(out_cid).balance(x)
-    g.channel(in_cid).balance(x)
-    if requested < 1:
-        return 0
     if mode == "band":
         return _band_bound(g, x, in_cid, out_cid, requested, totals)
     return _gini_bound(g, x, in_cid, out_cid, requested, current_gini)
@@ -331,15 +326,10 @@ def record_fees(ledger: FeeLedger, g: NetworkGraph, cycle: RebalanceCycle, amoun
     ledger.debit(cycle.initiator, total)
 
 
-def _proposed_amount(g: NetworkGraph, u: int, cid: int, totals: tuple[int, int], config: SimulationConfig) -> int:
-    """u's desired amount on `cid`, split when the strategy splits amounts."""
-    divisor = config.mpp_divisor if config.strategy.splits_amount else 1
-    return desired_amount(g, u, cid, totals, divisor)
-
-
 def attempt_rebalance(
     g: NetworkGraph,
     hops: Hops,
+    amount: int,
     config: SimulationConfig,
     ledger: FeeLedger,
     totals: Mapping[int, tuple[int, int]],
@@ -347,23 +337,20 @@ def attempt_rebalance(
 ) -> tuple[RebalanceCycle, int] | None:
     """Try one circular rebalance; returns the executed cycle and amount, or None.
 
-    The initiator u drains its channel on the first of `hops`.  `totals`
+    The initiator u proposes `amount` on the first of `hops`.  `totals`
     maps each cycle node to its (tau, kappa) from `node_totals`, and the
     run's Gini table `ginis` to its current `node_gini`.  The sink
     condition is checked unless the config waives it (easier path finding
-    at the cost of small oscillations), u proposes its desired amount, and
-    every intermediate node caps it by its agreement rule.  The amount
-    never exceeds u's balance on the first hop, because no rule raises it.
-    Only then is the `RebalanceCycle` built (a malformed one raises
-    `ValueError`), the payment applied atomically, checked, each cycle
-    node's new Gini written into `ginis`, and the fees recorded.
-    Declines leave the state and `ginis` untouched.
+    at the cost of small oscillations), and every intermediate node caps
+    the amount by its agreement rule, declining below `min_amount`.  The
+    amount never exceeds u's balance on the first hop, because the first
+    intermediary can receive no more.  Only then is the `RebalanceCycle`
+    built (a malformed one raises `ValueError`), the payment applied
+    atomically, checked, each cycle node's new Gini written into `ginis`,
+    and the fees recorded.  Declines leave the state and `ginis` untouched.
     """
-    u, _, cid = hops[0]
+    u = hops[0][0]
     if config.require_sink_condition and not check_sink_condition(g, u, hops[-1][2], totals[u]):
-        return None
-    amount = _proposed_amount(g, u, cid, totals[u], config)
-    if amount < config.min_amount:
         return None
     for (_, _, in_cid), (x, _, out_cid) in zip(hops, hops[1:]):
         amount = max_agreeable_amount(g, x, in_cid, out_cid, amount, totals[x], ginis[x], config.agreement_mode)
@@ -424,9 +411,10 @@ def run_simulation(
 
     Each sweep visits the nodes in seeded-random order; an active node
     (Gini above the convergence threshold, nonempty candidate set) picks a
-    random candidate channel and works through its cycle candidates in
-    seeded-shuffled order until one executes.  When the amount it proposes
-    on that channel is below `min_amount`, no cycle is tried; the shuffle
+    random candidate channel, proposes its desired amount there once (split
+    by `mpp_divisor` when the strategy splits amounts), and works through
+    its cycle candidates in seeded-shuffled order until one executes.  When
+    the proposal is below `min_amount`, no cycle is tried; the shuffle
     still runs, so the random stream is the same.  Terminates after a sweep
     with zero executed operations or at `max_operations`.  Whenever the
     network imbalance first falls below a new 0.01 grid value, `sampler`
@@ -441,6 +429,7 @@ def run_simulation(
     # circular payments never change a node's (tau, kappa)
     totals = {u: node_totals(g, u) for u in nodes}
     ledger = FeeLedger()
+    divisor = config.mpp_divisor if config.strategy.splits_amount else 1
     ginis = {u: node_gini(g, u) for u in nodes}
     imbalance = sum(ginis.values()) / len(nodes)
 
@@ -475,18 +464,19 @@ def run_simulation(
                 continue
             indices = list(range(len(cyc)))
             rng.shuffle(indices)
-            # the amount u proposes depends only on (u, cid): too small fails every cycle
-            if _proposed_amount(g, u, cid, totals[u], config) < config.min_amount:
+            # u proposes once per visit: a declined attempt moves no balance
+            amount = desired_amount(g, u, cid, totals[u]) // divisor
+            if amount < config.min_amount:
                 continue
             for i in indices:
-                executed = attempt_rebalance(g, cyc[i], config, ledger, totals, ginis)
+                executed = attempt_rebalance(g, cyc[i], amount, config, ledger, totals, ginis)
                 if executed is None:
                     continue
-                cycle, amount = executed
+                cycle, moved = executed
                 ops += 1
                 ops_this_sweep += 1
                 imbalance = sum(ginis.values()) / len(nodes)
-                operations.append(OperationRecord(ops, u, cycle, amount, imbalance))
+                operations.append(OperationRecord(ops, u, cycle, moved, imbalance))
                 grid = math.floor(imbalance * 100 + 1e-9)
                 if grid < best_grid:
                     best_grid = grid

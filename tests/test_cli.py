@@ -20,7 +20,7 @@ from lnbalance.rebalancer import SimulationConfig
 # --seed 7` with `--seed 7`, keyed by test id: (simulate flags, digests).
 # cycle4 and cycle5 (band, uncapped) were recorded with an evaluation that
 # recomputed every route at every sample; cached routes must reproduce them
-# exactly.  The other six pin every strategy x agreement pair, capped at 30
+# exactly.  The next six pin every strategy x agreement pair, capped at 30
 # operations to stay fast.  The state and fee files pin the CSV writers.
 INITIAL_STATE = "4517fe54457f6ee7021adc513af569bfeed135ac900f52b1d4e0b950e1022921"
 GOLDEN = {
@@ -102,6 +102,18 @@ GOLDEN = {
             "initial_state.csv": INITIAL_STATE,
             "final_state.csv": "88df13fb1220437d1d7723e89c8492f7877cc71cc91d3167af0ab00843a84b6e",
             "fees.csv": "700a63929e925b9730bbb56370f1907faa86178914eb788f2a4ab252faf6e3a2",
+        },
+    ),
+    # the mpp split and the skip of a visit whose split proposal is below
+    # --min-amount, which fires 11 times in this run
+    "mpp-min-amount": (
+        ["mpp", "--mpp-divisor", "7", "--min-amount", "1000", "--max-operations", "30"],
+        {
+            "metrics.csv": "b72ffc3895543ce5d1fe6ce461ba7b9017455548c04e3f8241713cd131bea8de",
+            "operations.jsonl": "49912c4e038e5964d0540fb2f36ffb63df510013440d1f6c051016dac01c3c24",
+            "initial_state.csv": INITIAL_STATE,
+            "final_state.csv": "82992ac9bc71870ab8ed4d73bfca1e5e2eb5472254e56b9756e49f1379b6e1ea",
+            "fees.csv": "20cdfa3ecdcab36941aefbb0ff9cf9304d504a9a47e750ab563512125c741929",
         },
     ),
 }

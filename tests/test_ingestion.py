@@ -353,6 +353,8 @@ class TestGenerateSynthetic:
             generate_synthetic(3, 3, (100, 200), seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(10, 2, (200, 100), seed=0)
+        with pytest.raises(ValueError):
+            generate_synthetic(12, 2, (1, 2**63), seed=1)
 
     def test_no_self_channels_or_duplicate_attachments(self):
         records = generate_synthetic(100, 3, (1000, 10_000), seed=8)

@@ -69,6 +69,11 @@ def totals_of(g):
     return {u: node_totals(g, u) for u in g.nodes()}
 
 
+def proposal_of(g):
+    """Node 0's desired amount on channel 0, the first of `TRIANGLE_HOPS`, unsplit."""
+    return desired_amount(g, 0, 0, node_totals(g, 0))
+
+
 def ginis_of(g):
     return {u: node_gini(g, u) for u in g.nodes()}
 
@@ -112,10 +117,6 @@ class TestDesiredAmount:
         g = make_graph([(0, 1, 1000, 800), (0, 2, 1000, 200)])
         assert desired_amount(g, 0, 0, node_totals(g, 0)) == 300
 
-    def test_mpp_divisor(self):
-        g = make_graph([(0, 1, 1000, 800), (0, 2, 1000, 200)])
-        assert desired_amount(g, 0, 0, node_totals(g, 0), divisor=20) == 15
-
     def test_tiny_gap_floors_to_zero(self):
         # gap of 0.0004 on capacity 1000 floors to 0
         g = make_graph([(0, 1, 1000, 500), (0, 2, 10000, 4996)])
@@ -154,6 +155,17 @@ class TestMaxAgreeableAmount:
             max_agreeable_amount(
                 g, 0, in_cid=0, out_cid=0, requested=1, totals=node_totals(g, 0), current_gini=node_gini(g, 0)
             )
+
+    @pytest.mark.parametrize("mode", ["band", "gini"])
+    @pytest.mark.parametrize("requested", [0, 5])
+    def test_channel_errors_raised_for_any_request(self, mode, requested):
+        # node 0 is on channels 0 and 2 but not on channel 1
+        g = make_graph([(0, 1, 10, 8), (1, 2, 10, 5), (0, 2, 10, 2)])
+        totals, before = node_totals(g, 0), node_gini(g, 0)
+        with pytest.raises(ValueError, match=r"^node \d+ is not an endpoint of channel \d+$"):
+            max_agreeable_amount(g, 0, 0, 1, requested, totals, before, mode)
+        with pytest.raises(KeyError, match="unknown channel"):
+            max_agreeable_amount(g, 0, 0, 99, requested, totals, before, mode)
 
     def test_gini_mode_never_increases_gini(self):
         g = make_graph([(0, 1, 10, 8), (0, 2, 10, 2), (0, 3, 50, 25)])
@@ -357,9 +369,9 @@ def test_gini_bound_probes_grow_with_log_bound(data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(specs=star_specs(), divisor=st.integers(min_value=1, max_value=30))
-def test_band_rules_match_rational_definitions(specs, divisor):
-    """zeta > nu, zeta < nu and floor(floor(c * (zeta - nu)) / divisor) clamped at 0, in exact rationals."""
+@given(specs=star_specs())
+def test_band_rules_match_rational_definitions(specs):
+    """zeta > nu, zeta < nu and floor(c * (zeta - nu)) clamped at 0, in exact rationals."""
     g = make_graph(specs)
     for u in g.nodes():
         totals = node_totals(g, u)
@@ -369,8 +381,8 @@ def test_band_rules_match_rational_definitions(specs, divisor):
         assert candidate_channels(g, u, totals) == [cid for cid, _ in incident if zetas[cid] > nu]
         for cid, ch in incident:
             assert check_sink_condition(g, u, cid, totals) is (zetas[cid] < nu)
-            expected = max(math.floor(ch.capacity * (zetas[cid] - nu)) // divisor, 0)
-            assert desired_amount(g, u, cid, totals, divisor) == expected
+            expected = max(math.floor(ch.capacity * (zetas[cid] - nu)), 0)
+            assert desired_amount(g, u, cid, totals) == expected
 
 
 def weighted_gini(g, u):
@@ -456,7 +468,8 @@ class TestAttemptRebalance:
     def test_triangle_executes_five(self):
         g = skewed_triangle()
         ledger = FeeLedger()
-        cycle, amount = attempt_rebalance(g, TRIANGLE_HOPS, config(), ledger, totals_of(g), ginis_of(g))
+        assert proposal_of(g) == 5
+        cycle, amount = attempt_rebalance(g, TRIANGLE_HOPS, 5, config(), ledger, totals_of(g), ginis_of(g))
         assert cycle == triangle_cycle()
         assert amount == 5
         assert network_imbalance(g) == 0.0
@@ -468,13 +481,14 @@ class TestAttemptRebalance:
         # node 1 has nothing on its outgoing channel
         g = make_graph([(0, 1, 10, 10), (1, 2, 10, 0), (2, 0, 10, 10)])
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
-        outcome = attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g), ginis_of(g))
+        outcome = attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), config(), FeeLedger(), totals_of(g), ginis_of(g))
         assert outcome is None
         assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
 
     def test_declines_on_zero_desired(self):
         g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)])
-        assert attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g), ginis_of(g)) is None
+        assert proposal_of(g) == 0
+        assert attempt_rebalance(g, TRIANGLE_HOPS, 0, config(), FeeLedger(), totals_of(g), ginis_of(g)) is None
 
     def test_sink_condition_blocks(self):
         # initiator's receiving side of the last channel sits above its nu
@@ -484,31 +498,27 @@ class TestAttemptRebalance:
             )
 
         g = build()
-        assert attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g), ginis_of(g)) is None
+        amount = proposal_of(g)
+        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, config(), FeeLedger(), totals_of(g), ginis_of(g)) is None
         relaxed = config(require_sink_condition=False)
         g = build()
-        assert attempt_rebalance(g, TRIANGLE_HOPS, relaxed, FeeLedger(), totals_of(g), ginis_of(g))[1] == 2
+        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, relaxed, FeeLedger(), totals_of(g), ginis_of(g))[1] == 2
 
     def test_min_amount_threshold(self):
+        # a proposal below min_amount is declined at the first intermediary
         g = skewed_triangle()
         cfg = config(min_amount=6)
-        assert attempt_rebalance(g, TRIANGLE_HOPS, cfg, FeeLedger(), totals_of(g), ginis_of(g)) is None
-
-    def test_mpp_splits_amount(self):
-        g = make_graph([(0, 1, 1000, 1000), (1, 2, 1000, 1000), (2, 0, 1000, 1000)])
-        cfg = config(strategy=Strategy.MPP, mpp_divisor=20)
-        ledger = FeeLedger()
-        _, amount = attempt_rebalance(g, TRIANGLE_HOPS, cfg, ledger, totals_of(g), ginis_of(g))
-        assert amount == 25  # desired 500 split by 20
+        assert attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), cfg, FeeLedger(), totals_of(g), ginis_of(g)) is None
 
     def test_gini_table_rewritten_for_cycle_nodes_only(self):
         # the skewed triangle plus node 3, off the cycle, with an uneven Gini
         g = make_graph([(0, 1, 10, 10), (1, 2, 10, 10), (2, 0, 10, 10), (0, 3, 10, 5), (3, 4, 10, 2)])
         ginis = ginis_of(g)
         start = dict(ginis)
-        assert attempt_rebalance(g, TRIANGLE_HOPS, config(min_amount=6), FeeLedger(), totals_of(g), ginis) is None
+        amount = proposal_of(g)
+        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, config(min_amount=6), FeeLedger(), totals_of(g), ginis) is None
         assert ginis == start
-        cycle, _ = attempt_rebalance(g, TRIANGLE_HOPS, config(), FeeLedger(), totals_of(g), ginis)
+        cycle, _ = attempt_rebalance(g, TRIANGLE_HOPS, amount, config(), FeeLedger(), totals_of(g), ginis)
         assert ginis == ginis_of(g)
         assert {u for u in ginis if ginis[u] != start[u]} == set(cycle.nodes) == {0, 1, 2}
         assert start[3] > 0
@@ -527,7 +537,7 @@ class TestAttemptRebalance:
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
         ledger = FeeLedger()
         with pytest.raises(ValueError, match="^initiator may appear only at the cycle ends$"):
-            attempt_rebalance(g, hops, config(), ledger, totals, ginis_of(g))
+            attempt_rebalance(g, hops, 5, config(), ledger, totals, ginis_of(g))
         assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
         assert [ledger.net(u) for u in g.nodes()] == [0, 0, 0]
 
@@ -591,7 +601,9 @@ def test_post_condition_catches_faulty_execution(monkeypatch, specs, mode, targe
     g = make_graph(specs) if specs else skewed_triangle()
     monkeypatch.setattr(rebalancer, target, fault(getattr(rebalancer, target)))
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
-        attempt_rebalance(g, TRIANGLE_HOPS, config(agreement_mode=mode), FeeLedger(), totals_of(g), ginis_of(g))
+        attempt_rebalance(
+            g, TRIANGLE_HOPS, proposal_of(g), config(agreement_mode=mode), FeeLedger(), totals_of(g), ginis_of(g)
+        )
 
 
 class TestRunSimulation:
@@ -654,12 +666,21 @@ class TestRunSimulation:
         assert res.ledger.total() == 0
         assert any(res.ledger.net(op.initiator) < 0 for op in res.operations)
 
-    def test_operation_amounts_respect_min(self):
+    def test_mpp_splits_amount(self):
+        g = make_graph([(0, 1, 1000, 1000), (1, 2, 1000, 1000), (2, 0, 1000, 1000)])
+        res = run_simulation(g, config(strategy=Strategy.MPP, mpp_divisor=20))
+        assert res.operations[0].amount == 25  # desired 500 split by 20
+
+    @pytest.mark.parametrize(
+        "strategy, divisor", [pytest.param(Strategy.CYCLE4, 20, id="cycle4"), pytest.param(Strategy.MPP, 7, id="mpp")]
+    )
+    def test_operation_amounts_respect_min(self, strategy, divisor):
         from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic, largest_scc
 
         records = generate_synthetic(50, 3, (10_000, 1_000_000), seed=4)
         g = largest_scc(allocate_funds_coinflip(records, seed=4))
-        res = run_simulation(g, config(seed=4, strategy=Strategy.CYCLE4, min_amount=500))
+        res = run_simulation(g, config(seed=4, strategy=strategy, mpp_divisor=divisor, min_amount=500))
+        assert res.operations
         assert all(op.amount >= 500 for op in res.operations)
 
     def test_gini_mode_runs_clean(self):
@@ -691,12 +712,15 @@ class TestSimulationConfig:
 def reference_simulation(g, config):
     """Deliberately naive `run_simulation`: same RNG calls, nothing cached.
 
-    Totals, node Gini values and the network imbalance are recomputed at
-    every step and cycles are enumerated afresh at every visit.  Returns
-    (seq, initiator, cycle, amount, imbalance_after) per executed operation.
+    Totals, node Gini values, the proposal and the network imbalance are
+    recomputed at every attempt, with no skip of a visit whose proposal is
+    below `min_amount`, and cycles are enumerated afresh at every visit.
+    Returns (seq, initiator, cycle, amount, imbalance_after) per executed
+    operation.
     """
     rng = random.Random(config.seed)
     ledger = FeeLedger()
+    divisor = config.mpp_divisor if config.strategy.splits_amount else 1
     ops = []
     while True:
         order = g.nodes()
@@ -719,7 +743,8 @@ def reference_simulation(g, config):
             for i in indices:
                 totals = {x: node_totals(g, x) for x, _, _ in cycles[i]}
                 ginis = {x: node_gini(g, x) for x, _, _ in cycles[i]}
-                executed = attempt_rebalance(g, cycles[i], config, ledger, totals, ginis)
+                amount = desired_amount(g, u, cid, totals[u]) // divisor
+                executed = attempt_rebalance(g, cycles[i], amount, config, ledger, totals, ginis)
                 if executed is not None:
                     cycle, amount = executed
                     ops.append((len(ops) + 1, u, cycle, amount, network_imbalance(g)))
