@@ -17,9 +17,10 @@ field and takes every default from `SimulationConfig`.
 
 `simulate` evaluates payment ability once per metrics sample, and every
 sample reuses the cheapest-path trees built for the run's graph at the
-first one.  Evaluation is single-threaded; there is no `--threads` flag.
-`evaluate --sample-pairs N` takes its payment metrics from every pair of
-min(n, ceil(N / (n - 1))) sources drawn with `--seed` from the n nodes.
+first one.  `evaluate --sample-pairs N` takes its payment metrics from
+every pair of min(n, ceil(N / (n - 1))) sources drawn with `--seed` from
+the n nodes, and its report adds `success_rate_se`, the standard error
+of the sampled success rate (null for a single source).
 
 Exit codes: 0 success, 2 usage, 3 input data error, 4 invariant violation.
 """
@@ -55,7 +56,7 @@ from .ingestion import (
     write_snapshot,
     write_state,
 )
-from .model import InvariantViolation, NetworkGraph, gini_distribution
+from .model import InvariantViolation, NetworkGraph, gini_distribution, mean_gini
 from .rebalancer import AGREEMENT_MODES, SimulationConfig, SimulationResult, run_simulation
 
 SIMULATE_OUTPUTS = [
@@ -267,7 +268,7 @@ def cmd_evaluate(args) -> int:
             seed=args.seed,
         )
         gini_values = gini_distribution(g)
-        imbalance = sum(gini_values) / len(gini_values)
+        imbalance = mean_gini(gini_values)
         obj = {
             "success_rate": report.success_rate,
             "median_payment_sat": report.median_payment_sat,
@@ -276,6 +277,8 @@ def cmd_evaluate(args) -> int:
             "sampled_pairs": report.sampled_pairs,
             "gini_values": gini_values,
         }
+        if report.sampled_pairs is not None:
+            obj["success_rate_se"] = report.success_rate_se
         if baseline is not None:
             obj["ks_distance_vs_baseline"] = ks_distance(gini_values, baseline)
         _write_json(outdir / "report.json", obj)

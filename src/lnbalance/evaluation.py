@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,7 +40,9 @@ class EvaluationReport:
     the lower middle value for an even count, with blocked pairs as 0.
     The pairs are all ordered pairs, or, when `sampled_pairs` is set, the
     pairs from each of a seeded sample of sources to every other node;
-    `sampled_pairs` is then their number.
+    `sampled_pairs` is then their number.  `success_rate_se` is the
+    standard error of a sampled `success_rate`, and None for a full
+    evaluation or a sample of one source.
     """
 
     success_rate: float
@@ -47,6 +50,7 @@ class EvaluationReport:
     payment_size_cdf: list[tuple[int, float]]
     amount_sat: int = 1
     sampled_pairs: int | None = None
+    success_rate_se: float | None = None
 
 
 # cost tuples are (fee, hops, node sequence, last channel).  Comparing the node
@@ -174,7 +178,8 @@ def evaluate_network(
     With `sample_pairs` = N the statistics are over every pair of
     ceil(N / (n - 1)) sources drawn uniformly with `seed`, or of all n
     sources once that many are needed, so the cost follows N; the report
-    notes the number of pairs used.  Pass the same `routes` to every
+    notes the number of pairs used and, from two sources on, the standard
+    error of the success rate.  Pass the same `routes` to every
     evaluation of one graph so its cheapest-path trees are built once; by
     default a fresh cache is made for this call alone.
     """
@@ -188,22 +193,44 @@ def evaluate_network(
         routes = RouteCache(g)
     elif routes._graph is not g:
         raise ValueError("route cache used with a graph it was not built for")
-    sources, sampled = nodes, None
+    sources, sampled, se = nodes, None, None
     if sample_pairs is not None:
         if sample_pairs < 1:
             raise ValueError("sample_pairs must be at least 1")
         count = min(-(-sample_pairs // (n - 1)), n)
         sources = random.Random(seed).sample(nodes, count)
         sampled = count * (n - 1)
-    ordered = routes.bottlenecks(sources).ravel()
+    rows = routes.bottlenecks(sources)
+    # numpy compares an amount past int64 as a float, and no channel holds that much
+    fits = amount <= _UNBOUNDED
+    if sampled is not None and len(sources) > 1:
+        # each row's own, unbounded entry carries any amount that fits
+        counts = ((rows >= amount).sum(axis=1) - 1).tolist() if fits else [0] * len(sources)
+        se = _success_rate_se(counts, n)
+    ordered = rows.ravel()
     ordered.sort()
     ordered = ordered[: -len(sources)]  # the sources' own, unbounded entries sort last
-    # numpy compares an amount past int64 as a float, and no channel holds that much
-    blocked = np.searchsorted(ordered, amount) if amount <= _UNBOUNDED else ordered.size
+    blocked = np.searchsorted(ordered, amount) if fits else ordered.size
     return EvaluationReport(
         success_rate=(ordered.size - int(blocked)) / ordered.size,
         median_payment_sat=ordered[(ordered.size - 1) // 2].item(),
         payment_size_cdf=cdf_points(ordered),
         amount_sat=amount,
         sampled_pairs=sampled,
+        success_rate_se=se,
     )
+
+
+def _success_rate_se(counts: Sequence[int], n: int) -> float:
+    """Standard error of the success rate of k >= 2 sources drawn from n nodes.
+
+    `counts` holds, per drawn source, how many of its n - 1 targets carry
+    the amount.  The rate is the mean of the per-source rates, and its
+    variance under sampling without replacement is
+    (n - k) (k sum c^2 - (sum c)^2) / (n k^2 (k - 1) (n - 1)^2), which is 0
+    at k = n.  The quotient of exact integers rounds once, so every Python
+    gives the same float.
+    """
+    k = len(counts)
+    spread = k * sum(c * c for c in counts) - sum(counts) ** 2
+    return math.sqrt((n - k) * spread / (n * k * k * (k - 1) * (n - 1) ** 2))

@@ -13,7 +13,7 @@ a cycle and therefore leaves every node's total funds unchanged:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 
 MAX_CAPACITY_SAT = 2**63 - 1  # evaluation reads balances as int64
@@ -77,10 +77,6 @@ class Channel:
         if node == self.node_b:
             return self.balance_b
         raise ValueError(f"node {node} is not an endpoint of channel {self.cid}")
-
-    def zeta(self, node: int) -> float:
-        """Channel balance coefficient of `node`: its balance over the capacity."""
-        return self.balance(node) / self.capacity
 
 
 class NetworkGraph:
@@ -212,7 +208,10 @@ def gini(values: Sequence[float]) -> float:
     n = len(values)
     if n == 0:
         raise ValueError("gini of an empty sequence")
-    total = sum(values)
+    # left to right on every Python, as `mean_gini` sums
+    total = 0.0
+    for v in values:
+        total += v
     if total == 0:
         return 0.0
     acc = 0.0
@@ -222,9 +221,28 @@ def gini(values: Sequence[float]) -> float:
     return acc / (n * total) if acc > 0 else 0.0
 
 
+def node_coefficients(g: NetworkGraph, u: int) -> list[float]:
+    """`u`'s channel balance coefficients, balance over capacity, in `incident` order."""
+    channels = g.channels
+    return [(ch := channels[cid]).balance(u) / ch.capacity for cid, _ in g.incident(u)]
+
+
 def node_gini(g: NetworkGraph, u: int) -> float:
     """Gini coefficient of `u`'s channel balance coefficients; 0 means even."""
-    return gini([g.channels[cid].zeta(u) for cid, _ in g.incident(u)])
+    return gini(node_coefficients(g, u))
+
+
+def mean_gini(values: Collection[float]) -> float:
+    """Mean of node Gini values, the network imbalance.
+
+    The sum runs left to right from 0.0: since Python 3.12 the builtin
+    `sum` compensates float rounding, so it would give other bytes on
+    other interpreters.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def gini_distribution(g: NetworkGraph) -> list[float]:
@@ -237,8 +255,7 @@ def gini_distribution(g: NetworkGraph) -> list[float]:
 
 def network_imbalance(g: NetworkGraph) -> float:
     """Mean of the per-node Gini values; the minimization objective."""
-    values = gini_distribution(g)
-    return sum(values) / len(values)
+    return mean_gini(gini_distribution(g))
 
 
 def apply_circular_payment(g: NetworkGraph, cycle: RebalanceCycle, amount: int) -> None:

@@ -23,7 +23,9 @@ one Gini table per run, and `attempt_rebalance` is its only writer.
 
 Routing fees are tracked in a hypothetical ledger only: forwarding nodes
 are credited what they would have charged and the initiator is debited,
-but no fee ever moves channel balances.
+but no fee ever moves channel balances and no rule reads the ledger.  So
+`attempt_rebalance` records no fee: `run_simulation` tallies the fees of
+its operations, in order, once the run ends.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from .model import (
     RebalanceCycle,
     apply_circular_payment,
     gini,
+    mean_gini,
+    node_coefficients,
     node_gini,
     node_totals,
 )
@@ -202,7 +206,7 @@ def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: i
     if bound < 1:
         return 0
     cids = [cid for cid, _ in g.incident(x)]
-    zetas = [g.channels[cid].zeta(x) for cid in cids]
+    zetas = node_coefficients(g, x)
     i_out = cids.index(out_cid)
     i_in = cids.index(in_cid)
 
@@ -331,7 +335,6 @@ def attempt_rebalance(
     hops: Hops,
     amount: int,
     config: SimulationConfig,
-    ledger: FeeLedger,
     totals: Mapping[int, tuple[int, int]],
     ginis: dict[int, float],
 ) -> tuple[RebalanceCycle, int] | None:
@@ -346,8 +349,9 @@ def attempt_rebalance(
     amount never exceeds u's balance on the first hop, because the first
     intermediary can receive no more.  Only then is the `RebalanceCycle`
     built (a malformed one raises `ValueError`), the payment applied
-    atomically, checked, each cycle node's new Gini written into `ginis`,
-    and the fees recorded.  Declines leave the state and `ginis` untouched.
+    atomically, checked, and each cycle node's new Gini written into
+    `ginis`.  Declines leave the state and `ginis` untouched.  No fee is
+    recorded here: the run tallies fees from its operations once it ends.
     """
     u = hops[0][0]
     if config.require_sink_condition and not check_sink_condition(g, u, hops[-1][2], totals[u]):
@@ -361,9 +365,6 @@ def attempt_rebalance(
     after = {x: node_gini(g, x) for x in cycle.nodes}
     _check_executed(g, hops, totals, config.agreement_mode, ginis, after)
     ginis.update(after)
-    record_fees(ledger, g, cycle, amount)
-    if ledger.total() != 0:
-        raise InvariantViolation("fee ledger lost zero-sum")
     return cycle, amount
 
 
@@ -419,8 +420,9 @@ def run_simulation(
     with zero executed operations or at `max_operations`.  Whenever the
     network imbalance first falls below a new 0.01 grid value, `sampler`
     is called once on the graph and a sample stores what it returns, as
-    is.  Mutates `g` in place and is fully deterministic in
-    (g, config).
+    is.  After the last sweep the fees of every operation, in order, go
+    into the run's one `FeeLedger`, which must sum to zero.  Mutates `g`
+    in place and is fully deterministic in (g, config).
     """
     rng = random.Random(config.seed)
     nodes = g.nodes()
@@ -428,10 +430,9 @@ def run_simulation(
         raise ValueError("cannot simulate an empty graph")
     # circular payments never change a node's (tau, kappa)
     totals = {u: node_totals(g, u) for u in nodes}
-    ledger = FeeLedger()
     divisor = config.mpp_divisor if config.strategy.splits_amount else 1
     ginis = {u: node_gini(g, u) for u in nodes}
-    imbalance = sum(ginis.values()) / len(nodes)
+    imbalance = mean_gini(ginis.values())
 
     def take_sample(ops_count: int) -> MetricsSample:
         return MetricsSample(ops_count, imbalance, sampler(g) if sampler is not None else None)
@@ -469,13 +470,13 @@ def run_simulation(
             if amount < config.min_amount:
                 continue
             for i in indices:
-                executed = attempt_rebalance(g, cyc[i], amount, config, ledger, totals, ginis)
+                executed = attempt_rebalance(g, cyc[i], amount, config, totals, ginis)
                 if executed is None:
                     continue
                 cycle, moved = executed
                 ops += 1
                 ops_this_sweep += 1
-                imbalance = sum(ginis.values()) / len(nodes)
+                imbalance = mean_gini(ginis.values())
                 operations.append(OperationRecord(ops, u, cycle, moved, imbalance))
                 grid = math.floor(imbalance * 100 + 1e-9)
                 if grid < best_grid:
@@ -486,4 +487,9 @@ def run_simulation(
             break
     if samples[-1].ops_count != ops:
         samples.append(take_sample(ops))
+    ledger = FeeLedger()
+    for op in operations:
+        record_fees(ledger, g, op.cycle, op.amount)
+    if ledger.total() != 0:
+        raise InvariantViolation("fee ledger lost zero-sum")
     return SimulationResult(g, operations, ledger, samples)

@@ -1,5 +1,8 @@
 import itertools
+import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -276,15 +279,31 @@ class TestEvaluateNetwork:
         # (n - 1)^2 + 1 is the least N that needs all n sources
         for k in ((n - 1) ** 2 + 1, n * (n - 1), n * (n - 1) + 10**6):
             sampled = evaluate_network(g, 50, sample_pairs=k, seed=1)
-            assert vars(sampled) == {**vars(full), "sampled_pairs": n * (n - 1)}
+            # a sample of every source has no sampling error
+            assert vars(sampled) == {**vars(full), "sampled_pairs": n * (n - 1), "success_rate_se": 0.0}
 
 
 def reference_report(g, routes, pairs, amount, sampled):
-    """Report built pair by pair from `oracle_routes`, with plain Python statistics."""
-    values = sorted(
-        min(g.channels[cid].balance(sender) for sender, cid in zip(*routes[pair])) if pair in routes else 0
+    """Report built pair by pair from `oracle_routes`, with plain Python statistics.
+
+    A sampled report of k >= 2 sources takes the standard error of the mean
+    per-source success rate under sampling without replacement, from the
+    count of targets that carry `amount` per source.
+    """
+    bottleneck = {
+        pair: min(g.channels[cid].balance(sender) for sender, cid in zip(*routes[pair])) if pair in routes else 0
         for pair in pairs
-    )
+    }
+    values = sorted(bottleneck.values())
+    counts = Counter(s for (s, _), v in bottleneck.items() if v >= amount)
+    sources = {s for s, _ in pairs}
+    se = None
+    if sampled is not None and len(sources) > 1:
+        n, k = g.num_nodes(), len(sources)
+        rates = [Fraction(counts[s], n - 1) for s in sources]
+        mean = sum(rates) / k
+        variance = sum((r - mean) ** 2 for r in rates) / (k - 1)
+        se = math.sqrt(variance * (n - k) / (n * k))
     return {
         "success_rate": sum(1 for v in values if v >= amount) / len(values),
         "median_payment_sat": values[(len(values) - 1) // 2],
@@ -295,6 +314,7 @@ def reference_report(g, routes, pairs, amount, sampled):
         ],
         "amount_sat": amount,
         "sampled_pairs": sampled,
+        "success_rate_se": se,
     }
 
 

@@ -11,7 +11,9 @@ from lnbalance.model import (
     RebalanceCycle,
     apply_circular_payment,
     gini,
+    mean_gini,
     network_imbalance,
+    node_coefficients,
     node_gini,
     node_totals,
 )
@@ -66,15 +68,20 @@ class TestChannel:
 
 
 class TestBalanceCoefficient:
-    """The channel balance coefficient zeta, as `Channel.zeta` computes it."""
+    """The channel balance coefficients zeta, as `node_coefficients` computes them."""
 
     def test_direct_ratio(self):
         g = make_graph([(0, 1, 10, 8)])
-        assert g.channel(0).zeta(0) == 0.8
+        assert node_coefficients(g, 0) == [0.8]
 
     def test_zero_balance(self):
         g = make_graph([(0, 1, 10, 10)])
-        assert g.channel(0).zeta(1) == 0.0
+        assert node_coefficients(g, 1) == [0.0]
+
+    def test_incident_order(self):
+        # node 0 is node_b of channel 0 and node_a of the parallel channel 2
+        g = make_graph([(1, 0, 4, 1), (0, 2, 10, 8), (0, 1, 5, 0)])
+        assert node_coefficients(g, 0) == [0.75, 0.8, 0.0]
 
     def test_unknown_channel(self):
         g = make_graph([(0, 1, 10, 8)])
@@ -84,14 +91,14 @@ class TestBalanceCoefficient:
     def test_non_endpoint(self):
         g = make_graph([(0, 1, 10, 8), (1, 2, 10, 4)])
         with pytest.raises(ValueError):
-            g.channel(0).zeta(2)
+            g.channel(0).balance(2)
 
     @given(st.integers(min_value=1, max_value=2**32), st.data())
     def test_sides_complement_to_one(self, capacity, data):
         balance = data.draw(st.integers(min_value=0, max_value=capacity))
         g = make_graph([(0, 1, capacity, balance)])
-        za = g.channel(0).zeta(0)
-        zb = g.channel(0).zeta(1)
+        (za,) = node_coefficients(g, 0)
+        (zb,) = node_coefficients(g, 1)
         assert za + zb == 1.0
 
 
@@ -136,6 +143,11 @@ class TestGini:
         with pytest.raises(ValueError):
             gini([])
 
+    def test_total_summed_left_to_right(self):
+        # left to right the total is 0.6000000000000001; the compensated builtin
+        # sum of Python 3.12 and later gives 0.6, and the Gini 0.22222222222222224
+        assert gini([0.1, 0.2, 0.3]) == 0.22222222222222218
+
     @settings(max_examples=300)
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30))
     def test_matches_double_sum_oracle(self, values):
@@ -174,6 +186,10 @@ class TestNetworkImbalance:
         g = NetworkGraph([])
         with pytest.raises(ValueError):
             network_imbalance(g)
+
+    def test_mean_summed_left_to_right(self):
+        # the builtin sum of Python 3.12 and later gives exactly 1.0, so a mean of 0.1
+        assert mean_gini([0.1] * 10) == 0.09999999999999999
 
 
 class TestRebalanceCycle:

@@ -256,7 +256,7 @@ def bisected_gini_bound(g, x, in_cid, out_cid, requested, before):
     if bound < 1:
         return 0
     cids = [cid for cid, _ in g.incident(x)]
-    zetas = [g.channels[cid].zeta(x) for cid in cids]
+    zetas = [g.channels[cid].balance(x) / g.channels[cid].capacity for cid in cids]
     i_out = cids.index(out_cid)
     i_in = cids.index(in_cid)
 
@@ -467,28 +467,26 @@ class TestRecordFees:
 class TestAttemptRebalance:
     def test_triangle_executes_five(self):
         g = skewed_triangle()
-        ledger = FeeLedger()
         assert proposal_of(g) == 5
-        cycle, amount = attempt_rebalance(g, TRIANGLE_HOPS, 5, config(), ledger, totals_of(g), ginis_of(g))
+        cycle, amount = attempt_rebalance(g, TRIANGLE_HOPS, 5, config(), totals_of(g), ginis_of(g))
         assert cycle == triangle_cycle()
         assert amount == 5
         assert network_imbalance(g) == 0.0
         for u in g.nodes():
             assert node_gini(g, u) == 0.0
-        assert ledger.total() == 0
 
     def test_declines_when_intermediate_refuses(self):
         # node 1 has nothing on its outgoing channel
         g = make_graph([(0, 1, 10, 10), (1, 2, 10, 0), (2, 0, 10, 10)])
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
-        outcome = attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), config(), FeeLedger(), totals_of(g), ginis_of(g))
+        outcome = attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), config(), totals_of(g), ginis_of(g))
         assert outcome is None
         assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
 
     def test_declines_on_zero_desired(self):
         g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)])
         assert proposal_of(g) == 0
-        assert attempt_rebalance(g, TRIANGLE_HOPS, 0, config(), FeeLedger(), totals_of(g), ginis_of(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, 0, config(), totals_of(g), ginis_of(g)) is None
 
     def test_sink_condition_blocks(self):
         # initiator's receiving side of the last channel sits above its nu
@@ -499,16 +497,16 @@ class TestAttemptRebalance:
 
         g = build()
         amount = proposal_of(g)
-        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, config(), FeeLedger(), totals_of(g), ginis_of(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, config(), totals_of(g), ginis_of(g)) is None
         relaxed = config(require_sink_condition=False)
         g = build()
-        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, relaxed, FeeLedger(), totals_of(g), ginis_of(g))[1] == 2
+        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, relaxed, totals_of(g), ginis_of(g))[1] == 2
 
     def test_min_amount_threshold(self):
         # a proposal below min_amount is declined at the first intermediary
         g = skewed_triangle()
         cfg = config(min_amount=6)
-        assert attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), cfg, FeeLedger(), totals_of(g), ginis_of(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), cfg, totals_of(g), ginis_of(g)) is None
 
     def test_gini_table_rewritten_for_cycle_nodes_only(self):
         # the skewed triangle plus node 3, off the cycle, with an uneven Gini
@@ -516,9 +514,9 @@ class TestAttemptRebalance:
         ginis = ginis_of(g)
         start = dict(ginis)
         amount = proposal_of(g)
-        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, config(min_amount=6), FeeLedger(), totals_of(g), ginis) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, config(min_amount=6), totals_of(g), ginis) is None
         assert ginis == start
-        cycle, _ = attempt_rebalance(g, TRIANGLE_HOPS, amount, config(), FeeLedger(), totals_of(g), ginis)
+        cycle, _ = attempt_rebalance(g, TRIANGLE_HOPS, amount, config(), totals_of(g), ginis)
         assert ginis == ginis_of(g)
         assert {u for u in ginis if ginis[u] != start[u]} == set(cycle.nodes) == {0, 1, 2}
         assert start[3] > 0
@@ -535,11 +533,9 @@ class TestAttemptRebalance:
         for (_, _, in_cid), (x, _, out_cid) in zip(hops, hops[1:]):
             assert max_agreeable_amount(g, x, in_cid, out_cid, 5, totals[x], node_gini(g, x)) == 5
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
-        ledger = FeeLedger()
         with pytest.raises(ValueError, match="^initiator may appear only at the cycle ends$"):
-            attempt_rebalance(g, hops, 5, config(), ledger, totals, ginis_of(g))
+            attempt_rebalance(g, hops, 5, config(), totals, ginis_of(g))
         assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
-        assert [ledger.net(u) for u in g.nodes()] == [0, 0, 0]
 
 
 def _unbalance_first_channel(apply):
@@ -592,8 +588,6 @@ GINI_OVERSHOOT = [(0, 1, 10, 10), (1, 2, 10, 4), (2, 0, 10, 8), (1, 3, 10, 0), (
                      "node 1 crossed nu on its in channel", id="band-in"),
         pytest.param(GINI_OVERSHOOT, "gini", "apply_circular_payment", _overshoot,
                      "node 2 Gini increased", id="gini"),
-        pytest.param(None, "band", "record_fees", _credit_without_debit,
-                     "fee ledger lost zero-sum", id="zero-sum"),
     ],
 )
 def test_post_condition_catches_faulty_execution(monkeypatch, specs, mode, target, fault, message):
@@ -601,9 +595,14 @@ def test_post_condition_catches_faulty_execution(monkeypatch, specs, mode, targe
     g = make_graph(specs) if specs else skewed_triangle()
     monkeypatch.setattr(rebalancer, target, fault(getattr(rebalancer, target)))
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
-        attempt_rebalance(
-            g, TRIANGLE_HOPS, proposal_of(g), config(agreement_mode=mode), FeeLedger(), totals_of(g), ginis_of(g)
-        )
+        attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), config(agreement_mode=mode), totals_of(g), ginis_of(g))
+
+
+def test_fee_tally_catches_a_ledger_that_loses_zero_sum(monkeypatch):
+    """The run's fee tally checks the ledger it built from the operations."""
+    monkeypatch.setattr(rebalancer, "record_fees", _credit_without_debit(rebalancer.record_fees))
+    with pytest.raises(InvariantViolation, match="^fee ledger lost zero-sum$"):
+        run_simulation(skewed_triangle(), config())
 
 
 class TestRunSimulation:
@@ -683,6 +682,17 @@ class TestRunSimulation:
         assert res.operations
         assert all(op.amount >= 500 for op in res.operations)
 
+    @pytest.mark.parametrize("mode", ["band", "gini"])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_imbalance_equals_the_models_exactly(self, strategy, mode):
+        records = generate_synthetic(60, 3, (10_000, 1_000_000), seed=9)
+        g = largest_scc(allocate_funds_coinflip(records, seed=9))
+        # mpp/gini runs for thousands of shrinking payments before it stops
+        res = run_simulation(g, config(seed=9, strategy=strategy, agreement_mode=mode, max_operations=150))
+        assert res.operations
+        assert res.operations[-1].imbalance_after == network_imbalance(res.graph)
+        assert res.samples[-1].imbalance == network_imbalance(res.graph)
+
     def test_gini_mode_runs_clean(self):
         from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic, largest_scc
 
@@ -715,8 +725,9 @@ def reference_simulation(g, config):
     Totals, node Gini values, the proposal and the network imbalance are
     recomputed at every attempt, with no skip of a visit whose proposal is
     below `min_amount`, and cycles are enumerated afresh at every visit.
-    Returns (seq, initiator, cycle, amount, imbalance_after) per executed
-    operation.
+    Fees are recorded right after each executed payment.  Returns
+    (seq, initiator, cycle, amount, imbalance_after) per executed operation,
+    and the fee ledger.
     """
     rng = random.Random(config.seed)
     ledger = FeeLedger()
@@ -728,7 +739,7 @@ def reference_simulation(g, config):
         executed_this_sweep = False
         for u in order:
             if len(ops) >= config.max_operations:
-                return ops
+                return ops, ledger
             if node_gini(g, u) <= config.convergence_epsilon:
                 continue
             candidates = candidate_channels(g, u, node_totals(g, u))
@@ -744,14 +755,15 @@ def reference_simulation(g, config):
                 totals = {x: node_totals(g, x) for x, _, _ in cycles[i]}
                 ginis = {x: node_gini(g, x) for x, _, _ in cycles[i]}
                 amount = desired_amount(g, u, cid, totals[u]) // divisor
-                executed = attempt_rebalance(g, cycles[i], amount, config, ledger, totals, ginis)
+                executed = attempt_rebalance(g, cycles[i], amount, config, totals, ginis)
                 if executed is not None:
                     cycle, amount = executed
+                    record_fees(ledger, g, cycle, amount)
                     ops.append((len(ops) + 1, u, cycle, amount, network_imbalance(g)))
                     executed_this_sweep = True
                     break
         if not executed_this_sweep:
-            return ops
+            return ops, ledger
 
 
 class TestReferenceSimulation:
@@ -777,4 +789,8 @@ class TestReferenceSimulation:
         cfg = config(seed=seed, **knobs)
         result = run_simulation(graph(), cfg)
         got = [(op.seq, op.initiator, op.cycle, op.amount, op.imbalance_after) for op in result.operations]
-        assert got == reference_simulation(graph(), cfg)
+        expected, ledger = reference_simulation(graph(), cfg)
+        assert got == expected
+        # the run's one tally after its end equals recording at every payment
+        nodes = result.graph.nodes()
+        assert [result.ledger.net(u) for u in nodes] == [ledger.net(u) for u in nodes]
