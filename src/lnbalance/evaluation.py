@@ -11,10 +11,10 @@ Route choice reads only the topology and the base fees, and a circular
 payment changes neither: it moves balances alone.  So the cheapest-path
 tree of each source stays valid for the whole of a simulation run, and a
 :class:`RouteCache` computes it once per graph.  Each later evaluation
-only reads the current balances down the cached trees.  A sampled
-evaluation draws sources and builds the trees of those alone.  Each
-source's own entry in its row is unbounded and sorts last, so one sorted
-array, cut before those entries, serves every statistic.
+only reads the current balances down the cached trees, stored per hop
+level.  A sampled evaluation draws sources and builds the trees of those
+alone.  Each source's own entry in its row is unbounded and sorts last,
+so one sorted array, cut before those entries, serves every statistic.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import NetworkGraph
+from .model import MAX_CAPACITY_SAT, NetworkGraph
 
 
 @dataclass
@@ -53,41 +53,19 @@ class EvaluationReport:
     success_rate_se: float | None = None
 
 
-# cost tuples are (fee, hops, node sequence, last channel).  Comparing the node
-# sequence breaks fee/hop ties and keeps Dijkstra greedy; a node is expanded once,
-# with its final path, so entries equal in the first three differ in a parallel channel.
-def _single_source(g: NetworkGraph, source: int) -> dict[int, tuple]:
-    start = (0, 0, (source,), -1)
-    best: dict[int, tuple] = {source: start}
-    heap = [start]
-    while heap:
-        entry = heapq.heappop(heap)
-        fee, hops, nodes, _ = entry
-        u = nodes[-1]
-        if best.get(u) != entry:
-            continue
-        for cid, nb in g.incident(u):
-            ch = g.channels[cid]
-            cand = (fee + ch.base_fee_msat, hops + 1, nodes + (nb,), cid)
-            cur = best.get(nb)
-            if cur is None or cand < cur:
-                best[nb] = cand
-                heapq.heappush(heap, cand)
-    return best
-
-
-_UNBOUNDED = np.iinfo(np.int64).max
+_UNBOUNDED = MAX_CAPACITY_SAT  # Channel caps every capacity, so every balance, at this
 
 
 class RouteCache:
     """Cheapest-path trees of one graph, one per source, built on first use.
 
-    A source's tree lists every reachable target by hop count (fewest
-    first) with its predecessor on the cheapest path and the directed
-    channel side of the last hop, as int32 arrays.  The tie-break of
-    :func:`_single_source` makes every cheapest path extend the cheapest
-    path to its predecessor, so a target's bottleneck is the smaller of its
-    predecessor's bottleneck and the last hop's balance.
+    A source's tree is stored per hop level, nearest level first: each
+    level is one int32 array of three rows, the targets at that hop count,
+    their predecessors on the cheapest path and the directed channel side
+    of the last hop.  The tie-break of :meth:`_tree` makes every cheapest
+    path extend the cheapest path to its predecessor, one level nearer, so
+    a target's bottleneck is the smaller of its predecessor's bottleneck
+    and the last hop's balance.
 
     The trees hold only while the topology and the fees stay fixed, which
     circular payments guarantee; build a new cache for any other change.
@@ -99,22 +77,42 @@ class RouteCache:
         self._index = {u: i for i, u in enumerate(g.nodes())}
         # balance slots: 2k holds channel k's balance_a, 2k + 1 its balance_b
         self._slot = {cid: 2 * k for k, cid in enumerate(g.channels)}
-        self._trees: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self._trees: dict[int, list[np.ndarray]] = {}
 
-    def _tree(self, source: int) -> tuple[np.ndarray, list[int]]:
-        """(rows target / predecessor / balance slot, end of each hop level)."""
+    def _tree(self, source: int) -> list[np.ndarray]:
+        """(targets, predecessors, balance slots) of each hop level, by Dijkstra.
+
+        Entries are (fee, hops, node sequence, last channel).  Comparing the
+        node sequence breaks fee/hop ties and keeps Dijkstra greedy; a node
+        is settled once, with its final path, so entries equal in the first
+        three differ in a parallel channel.  A settled node's predecessor
+        settled before it, so its level is at most one past the last.
+        """
         tree = self._trees.get(source)
         if tree is None:
-            g, index = self._graph, self._index
-            rows = sorted(
-                (hops, index[nodes[-1]], index[nodes[-2]],
-                 self._slot[cid] + (nodes[-2] != g.channels[cid].node_a))
-                for _, hops, nodes, cid in _single_source(g, source).values()
-                if hops
-            )
-            depths, *columns = zip(*rows)
-            ends = [i for i in range(1, len(depths)) if depths[i] != depths[i - 1]]
-            tree = (np.array(columns, dtype=np.int32), ends + [len(depths)])
+            g, index, slot = self._graph, self._index, self._slot
+            start = (0, 0, (source,), -1)
+            best = {source: start}
+            heap = [start]
+            levels = []
+            while heap:
+                entry = heapq.heappop(heap)
+                fee, hops, nodes, last = entry
+                u = nodes[-1]
+                if best[u] is not entry:
+                    continue
+                if hops:
+                    if hops > len(levels):
+                        levels.append([])
+                    pred = nodes[-2]
+                    levels[hops - 1].append((index[u], index[pred], slot[last] + (pred != g.channels[last].node_a)))
+                for cid, nb in g.incident(u):
+                    cand = (fee + g.channels[cid].base_fee_msat, hops + 1, nodes + (nb,), cid)
+                    cur = best.get(nb)
+                    if cur is None or cand < cur:
+                        best[nb] = cand
+                        heapq.heappush(heap, cand)
+            tree = [np.array(level, dtype=np.int32).T for level in levels]
             self._trees[source] = tree
         return tree
 
@@ -133,13 +131,9 @@ class RouteCache:
         )
         rows = np.zeros((len(sources), len(index)), dtype=np.int64)
         for row, source in zip(rows, sources):
-            tree, ends = self._tree(source)
             row[index[source]] = _UNBOUNDED
-            start = 0
-            for end in ends:
-                targets, preds, slots = tree[:, start:end]
+            for targets, preds, slots in self._tree(source):
                 row[targets] = np.minimum(row[preds], balances[slots])
-                start = end
         return rows
 
 
@@ -170,7 +164,7 @@ def evaluate_network(
     amount: int = 1,
     *,
     sample_pairs: int | None = None,
-    seed: int | None = None,
+    seed: int = 0,
     routes: RouteCache | None = None,
 ) -> EvaluationReport:
     """Payment ability of one snapshot, over all ordered pairs by default.
@@ -179,9 +173,11 @@ def evaluate_network(
     ceil(N / (n - 1)) sources drawn uniformly with `seed`, or of all n
     sources once that many are needed, so the cost follows N; the report
     notes the number of pairs used and, from two sources on, the standard
-    error of the success rate.  Pass the same `routes` to every
-    evaluation of one graph so its cheapest-path trees are built once; by
-    default a fresh cache is made for this call alone.
+    error of the success rate.  The default `seed` is 0, as for `evaluate
+    --seed`, so a sampled call draws the same sources every time.  Pass
+    the same `routes` to every evaluation of one graph so its
+    cheapest-path trees are built once; by default a fresh cache is made
+    for this call alone.
     """
     if amount < 1:
         raise ValueError("amount must be at least 1 satoshi")

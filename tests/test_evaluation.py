@@ -14,13 +14,16 @@ from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic
 from lnbalance.model import Channel, NetworkGraph, RebalanceCycle, apply_circular_payment, gini_distribution
 
 
-def make_graph(specs):
-    """specs: (node_a, node_b, capacity, balance_a[, base_fee])."""
+def make_graph(specs, ids=None):
+    """specs: (node_a, node_b, capacity, balance_a[, base_fee]), inserted in order.
+
+    Channel i takes id ids[i], or i when `ids` is None.
+    """
     channels = []
     for i, spec in enumerate(specs):
         a, b, cap, bal = spec[:4]
         base = spec[4] if len(spec) > 4 else 1000
-        channels.append(Channel(i, a, b, cap, bal, cap - bal, base, 1))
+        channels.append(Channel(i if ids is None else ids[i], a, b, cap, bal, cap - bal, base, 1))
     return NetworkGraph(channels)
 
 
@@ -260,6 +263,10 @@ class TestEvaluateNetwork:
         assert a == b
         # every pair of ceil(50 / 29) = 2 sources
         assert a.sampled_pairs == 58
+        # with no seed given, the sources are those of seed 0
+        seeded = evaluate_network(g, sample_pairs=50, seed=0)
+        for _ in range(5):
+            assert evaluate_network(g, sample_pairs=50) == seeded
 
     def test_sampled_evaluation_builds_one_tree_per_drawn_source(self):
         records = generate_synthetic(30, 2, (100, 10_000), seed=4)
@@ -332,8 +339,9 @@ class TestRouteCache:
                     specs.append((i, j, cap, rng.randint(0, cap), rng.choice([0, 500, 1000, 2500])))
         if not specs:
             specs = [(0, 1, 10, 5, 0)]
-        rng.shuffle(specs)  # channel ids in no relation to node ids
-        g = make_graph(specs)
+        rng.shuffle(specs)  # insertion order in no relation to node ids
+        # ids with gaps, inserted in no relation to their order, as largest_scc leaves them
+        g = make_graph(specs, rng.sample(range(3 * len(specs)), len(specs)))
         nodes = g.nodes()
         if len(nodes) < 2:
             return
