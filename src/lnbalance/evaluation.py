@@ -10,21 +10,23 @@ liquidity is directional.
 Route choice reads only the topology and the base fees, and a circular
 payment changes neither: it moves balances alone.  So the cheapest-path
 tree of each source stays valid for the whole of a simulation run, and a
-:class:`RouteCache` computes it once per graph.  Each later evaluation
-only reads the current balances down the cached trees, stored per hop
-level.  A sampled evaluation draws sources and builds the trees of those
+:class:`RouteCache` computes it once per graph, a block of sources at a
+time in numpy: Bellman-Ford rounds on one int64 (fee, hops) key per node
+and source, then, hop level by hop level, a tie-break by the rank of
+each predecessor's path.  Each later evaluation only reads the current
+balances down the cached trees, one gather per hop level over every
+source.  A sampled evaluation draws sources and builds the trees of those
 alone.  Each source's own entry in its row is unbounded and sorts last,
 so one sorted array, cut before those entries, serves every statistic.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -54,87 +56,172 @@ class EvaluationReport:
 
 
 _UNBOUNDED = MAX_CAPACITY_SAT  # Channel caps every capacity, so every balance, at this
+_FAR = 2**62  # key of a node not reached yet; every real key lies below it
+_BLOCK = 2**14  # int64 entries in one temporary: directed channels x sources, or level entries read
 
 
 class RouteCache:
     """Cheapest-path trees of one graph, one per source, built on first use.
 
-    A source's tree is stored per hop level, nearest level first: each
-    level is one int32 array of three rows, the targets at that hop count,
-    their predecessors on the cheapest path and the directed channel side
-    of the last hop.  The tie-break of :meth:`_tree` makes every cheapest
-    path extend the cheapest path to its predecessor, one level nearer, so
-    a target's bottleneck is the smaller of its predecessor's bottleneck
-    and the last hop's balance.
+    A route is the path of least (total base fee, hops, node sequence,
+    last channel id).  The trees of a block of sources are built at once
+    from one int64 key per (node, source), ``fee * n + hops``: hops stay
+    below n, so the key orders paths by fee, then hops, and a channel
+    adds ``base_fee * n + 1``.  Bellman-Ford rounds over the directed
+    channels find every node's least key.  Then, hop level by hop level,
+    each reached target takes, of its tight incoming channels (the
+    predecessor's key plus the channel's equals the target's), the one
+    whose predecessor's path ranks first, ties to the lower channel id;
+    and the level's paths are ranked by (predecessor's rank, node index).
+    A path's node sequence is its predecessor's, one hop shorter, then its
+    target, and the graph lists its nodes sorted, so these ranks are
+    node-sequence order.  So every cheapest path extends the cheapest
+    path to its predecessor, one level nearer, and a target's bottleneck
+    is the smaller of its predecessor's bottleneck and the last hop's
+    balance.
+
+    Each hop level, nearest first, is one int32 array of two rows over
+    every source built so far: the source's row in the cache and the
+    directed channel of the last hop.
 
     The trees hold only while the topology and the fees stay fixed, which
     circular payments guarantee; build a new cache for any other change.
     :func:`evaluate_network` rejects a cache made for another graph.
+    Raises `ValueError` for a graph whose keys could reach 2**62.
     """
 
     def __init__(self, g: NetworkGraph):
+        nodes = g.nodes()
+        n = len(nodes)
+        top = max((ch.base_fee_msat for ch in g.channels.values()), default=0)
+        # the dearest simple path's key; _FAR plus any channel's key stays below 2**63
+        if (n - 1) * n * top + n >= _FAR:
+            raise ValueError(
+                f"route keys (fee * nodes + hops) must stay below 2**62: {n} nodes "
+                f"and a base fee of {top} msat reach {(n - 1) * n * top + n}"
+            )
         self._graph = g
-        self._index = {u: i for i, u in enumerate(g.nodes())}
-        # balance slots: 2k holds channel k's balance_a, 2k + 1 its balance_b
-        self._slot = {cid: 2 * k for k, cid in enumerate(g.channels)}
-        self._trees: dict[int, list[np.ndarray]] = {}
+        self._index = {u: i for i, u in enumerate(nodes)}
+        # directed channels by (target, channel id); balance slot 2k holds channel k's balance_a
+        arcs = sorted(
+            (self._index[b], ch.cid, self._index[a], 2 * k + side, ch.base_fee_msat)
+            for k, ch in enumerate(g.channels.values())
+            for side, (a, b) in enumerate(((ch.node_a, ch.node_b), (ch.node_b, ch.node_a)))
+        )
+        target, _, pred, slot, fee = np.array(arcs, dtype=np.int64).reshape(-1, 5).T
+        self._target, self._pred, self._slot = target, pred, slot
+        self._weight = fee * n + 1
+        # every node is a channel endpoint, so each node has a run of incoming arcs
+        self._first_in = _run_starts(target)
+        self._row = np.full(n, -1, dtype=np.int64)  # cache row of each built source, by node index
+        self._levels: list[np.ndarray] = []
 
-    def _tree(self, source: int) -> list[np.ndarray]:
-        """(targets, predecessors, balance slots) of each hop level, by Dijkstra.
+    def _build(self, fresh: list[int]) -> None:
+        """Build the trees of the node indices `fresh`, block by block, and merge their levels.
 
-        Entries are (fee, hops, node sequence, last channel).  Comparing the
-        node sequence breaks fee/hop ties and keeps Dijkstra greedy; a node
-        is settled once, with its final path, so entries equal in the first
-        three differ in a parallel channel.  A settled node's predecessor
-        settled before it, so its level is at most one past the last.
+        The blocks' levels go into one buffer, each source reaching at most
+        n - 1 targets, and are then copied out level by level, so the
+        per-block pieces never fragment the heap.
         """
-        tree = self._trees.get(source)
-        if tree is None:
-            g, index, slot = self._graph, self._index, self._slot
-            start = (0, 0, (source,), -1)
-            best = {source: start}
-            heap = [start]
-            levels = []
-            while heap:
-                entry = heapq.heappop(heap)
-                fee, hops, nodes, last = entry
-                u = nodes[-1]
-                if best[u] is not entry:
-                    continue
-                if hops:
-                    if hops > len(levels):
-                        levels.append([])
-                    pred = nodes[-2]
-                    levels[hops - 1].append((index[u], index[pred], slot[last] + (pred != g.channels[last].node_a)))
-                for cid, nb in g.incident(u):
-                    cand = (fee + g.channels[cid].base_fee_msat, hops + 1, nodes + (nb,), cid)
-                    cur = best.get(nb)
-                    if cur is None or cand < cur:
-                        best[nb] = cand
-                        heapq.heappush(heap, cand)
-            tree = [np.array(level, dtype=np.int32).T for level in levels]
-            self._trees[source] = tree
-        return tree
+        n = self._row.size
+        start = int(self._row.max()) + 1
+        self._row[fresh] = np.arange(start, start + len(fresh))
+        width = max(1, _BLOCK // self._target.size)
+        entries = np.empty((2, len(fresh) * (n - 1)), dtype=np.int32)
+        spans: list[list[tuple[int, int]]] = []  # per hop level, its stretches of `entries`
+        used = 0
+        for b in range(0, len(fresh), width):
+            for h, (rows, arcs) in enumerate(self._block_levels(fresh[b : b + width], start + b)):
+                entries[0, used : used + rows.size] = rows
+                entries[1, used : used + rows.size] = arcs
+                if h == len(spans):
+                    spans.append([])
+                spans[h].append((used, used + rows.size))
+                used += rows.size
+        for h, stretches in enumerate(spans):
+            pieces = [entries[:, lo:hi] for lo, hi in stretches]
+            if h < len(self._levels):
+                self._levels[h] = np.concatenate([self._levels[h], *pieces], axis=1)
+            else:
+                self._levels.append(np.concatenate(pieces, axis=1))
+
+    def _block_levels(self, cols: list[int], first_row: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each hop level of the trees of sources `cols` (node indices), nearest first.
+
+        A level is the cache rows of its entries (`first_row` for
+        ``cols[0]``, and on) and the directed channels of their last hops.
+        """
+        target, pred, weight = self._target, self._pred, self._weight[:, None]
+        n, width = self._row.size, len(cols)
+        keys = np.full((n, width), _FAR, dtype=np.int64)
+        keys[cols, np.arange(width)] = 0
+        while True:
+            relaxed = np.minimum.reduceat(keys[pred] + weight, self._first_in)
+            np.minimum(relaxed, keys, out=relaxed)
+            if np.array_equal(relaxed, keys):
+                break
+            keys = relaxed
+        # tight arcs, ordered by (source column, target, channel id), and the
+        # cell, target * width + column, of each in `keys`
+        col, arc = np.nonzero((keys[pred] + weight == keys[target]).T)
+        cell = target[arc] * width + col
+        hops = keys.ravel()[cell] % n
+        order = np.argsort(hops, kind="stable")
+        col, arc, cell = col[order], arc[order], cell[order]
+        bounds = np.searchsorted(hops[order], np.arange(1, hops.max(initial=0) + 2))
+        rank = np.zeros(n * width, dtype=np.int64)  # rank of each cell's path within its level
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            c, a, here = col[lo:hi], arc[lo:hi], cell[lo:hi]
+            first = _run_starts(here)
+            best = np.minimum.reduceat(rank[pred[a] * width + c] * target.size + a, first)
+            c, here = c[first], here[first]
+            # within one column, the cell orders targets as node indices do
+            order = np.argsort(best // target.size * (n * width) + here)
+            rank[here[order]] = np.arange(order.size)
+            yield c + first_row, best % target.size
 
     def bottlenecks(self, sources: Sequence[int]) -> np.ndarray:
         """Bottlenecks from each of `sources` to every node, one row per source.
 
         Rows follow `sources`, columns the node order.  A source's own
         entry is `_UNBOUNDED`, which no real bottleneck exceeds.  Only
-        the trees of `sources` are built.
+        the trees of `sources` are built; the rows of every source built
+        so far are read, one hop level after another, `_BLOCK` entries at
+        a time.
         """
-        g, index = self._graph, self._index
+        g = self._graph
+        wanted = [self._index[s] for s in sources]
+        fresh = [i for i in dict.fromkeys(wanted) if self._row[i] < 0]
+        if fresh:
+            self._build(fresh)
         balances = np.fromiter(
             itertools.chain.from_iterable((ch.balance_a, ch.balance_b) for ch in g.channels.values()),
             dtype=np.int64,
             count=2 * len(g.channels),
-        )
-        rows = np.zeros((len(sources), len(index)), dtype=np.int64)
-        for row, source in zip(rows, sources):
-            row[index[source]] = _UNBOUNDED
-            for targets, preds, slots in self._tree(source):
-                row[targets] = np.minimum(row[preds], balances[slots])
-        return rows
+        )[self._slot]
+        n = self._row.size
+        built = np.flatnonzero(self._row >= 0)
+        rows = np.zeros((built.size, n), dtype=np.int64)
+        rows[self._row[built], built] = _UNBOUNDED
+        flat = rows.ravel()
+        for level in self._levels:
+            for b in range(0, level.shape[1], _BLOCK):
+                row, arc = level[:, b : b + _BLOCK]
+                at = row.astype(np.int64)
+                at *= n
+                least = flat[at + self._pred[arc]]
+                np.minimum(least, balances[arc], out=least)
+                at += self._target[arc]
+                flat[at] = least
+        picked = self._row[wanted]
+        if np.array_equal(picked, np.arange(built.size)):
+            return rows
+        return rows[picked]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal entries of `values`."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
 
 
 def ks_distance(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:

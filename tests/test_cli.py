@@ -432,6 +432,18 @@ def test_capacity_past_int64_exits_3_and_publishes_nothing(command, text, tmp_pa
     assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
 
 
+def test_evaluate_fee_past_the_route_key_bound_exits_3(tmp_path, capsys):
+    # three nodes: (n - 1) * n * fee + n reaches 2**62 from this fee on
+    fee = (2**62 - 4) // 6 + 1
+    path = tmp_path / "in.csv"
+    path.write_text("node_a,node_b,capacity_sat,base_fee_msat,fee_rate_ppm,balance_a_sat,balance_b_sat\n"
+                    f"a,b,10,{fee},1,5,5\nb,c,10,1000,1,5,5\n", encoding="utf-8")
+    assert main(["evaluate", "-i", str(path), "-o", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: route keys") and "below 2**62" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+
 def test_gen_cap_max_past_int64_exits_2_and_writes_nothing(tmp_path, capsys):
     argv = ["gen", "--nodes", "12", "--degree", "2", "--cap-max", str(2**63), "--seed", "1",
             "-o", str(tmp_path / "s.csv")]

@@ -1,9 +1,11 @@
+import heapq
 import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,14 @@ from hypothesis import strategies as st
 from lnbalance.cycles import Strategy, enumerate_cycles
 from lnbalance.evaluation import RouteCache, cdf_points, evaluate_network, ks_distance
 from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic
-from lnbalance.model import Channel, NetworkGraph, RebalanceCycle, apply_circular_payment, gini_distribution
+from lnbalance.model import (
+    MAX_CAPACITY_SAT,
+    Channel,
+    NetworkGraph,
+    RebalanceCycle,
+    apply_circular_payment,
+    gini_distribution,
+)
 
 
 def make_graph(specs, ids=None):
@@ -56,6 +65,53 @@ def oracle_routes(g):
                 if pair not in best or key < best[pair]:
                     best[pair] = key
     return {pair: key[2:] for pair, key in best.items()}
+
+
+def dijkstra_tree(g, index, slot, source):
+    """(targets, predecessors, balance slots) of each hop level, by Dijkstra.
+
+    The per-source build that `RouteCache` replaced, kept as its reference.
+    Entries are (fee, hops, node sequence, last channel).  Comparing the
+    node sequence breaks fee/hop ties and keeps Dijkstra greedy; a node
+    is settled once, with its final path, so entries equal in the first
+    three differ in a parallel channel.  A settled node's predecessor
+    settled before it, so its level is at most one past the last.
+    """
+    start = (0, 0, (source,), -1)
+    best = {source: start}
+    heap = [start]
+    levels = []
+    while heap:
+        entry = heapq.heappop(heap)
+        fee, hops, nodes, last = entry
+        u = nodes[-1]
+        if best[u] is not entry:
+            continue
+        if hops:
+            if hops > len(levels):
+                levels.append([])
+            pred = nodes[-2]
+            levels[hops - 1].append((index[u], index[pred], slot[last] + (pred != g.channels[last].node_a)))
+        for cid, nb in g.incident(u):
+            cand = (fee + g.channels[cid].base_fee_msat, hops + 1, nodes + (nb,), cid)
+            cur = best.get(nb)
+            if cur is None or cand < cur:
+                best[nb] = cand
+                heapq.heappush(heap, cand)
+    return [np.array(level, dtype=np.int32).T for level in levels]
+
+
+def reference_bottlenecks(g, sources):
+    """Bottleneck rows of `sources`, read down the trees of `dijkstra_tree`."""
+    index = {u: i for i, u in enumerate(g.nodes())}
+    slot = {cid: 2 * k for k, cid in enumerate(g.channels)}
+    balances = np.array([b for ch in g.channels.values() for b in (ch.balance_a, ch.balance_b)], dtype=np.int64)
+    rows = np.zeros((len(sources), len(index)), dtype=np.int64)
+    for row, source in zip(rows, sources):
+        row[index[source]] = MAX_CAPACITY_SAT
+        for targets, preds, slots in dijkstra_tree(g, index, slot, source):
+            row[targets] = np.minimum(row[preds], balances[slots])
+    return rows
 
 
 def route_bottleneck(g, s, t):
@@ -275,8 +331,9 @@ class TestEvaluateNetwork:
         for k in (1, n - 1, n, 5 * (n - 1) + 1, n * (n - 1)):
             routes = RouteCache(g)
             report = evaluate_network(g, sample_pairs=k, seed=3, routes=routes)
-            assert len(routes._trees) == -(-k // (n - 1))
-            assert report.sampled_pairs == len(routes._trees) * (n - 1)
+            built = [u for u, row in zip(g.nodes(), routes._row) if row >= 0]
+            assert sorted(built) == sorted(random.Random(3).sample(g.nodes(), -(-k // (n - 1))))
+            assert report.sampled_pairs == len(built) * (n - 1)
 
     def test_sample_of_all_sources_is_the_full_evaluation(self):
         records = generate_synthetic(30, 2, (100, 10_000), seed=4)
@@ -325,6 +382,41 @@ def reference_report(g, routes, pairs, amount, sampled):
     }
 
 
+def random_payment(g, rng):
+    """Make one random executable circular payment, if the draw finds one; returns its amount or 0."""
+    u = rng.choice(g.nodes())
+    cid = rng.choice(g.incident(u))[0]
+    cycles = enumerate_cycles(g, u, cid, Strategy.CYCLE5, 50)
+    if not cycles:
+        return 0
+    hops = rng.choice(cycles)
+    room = min(g.channels[c].balance(sender) for sender, _, c in hops)
+    if room < 1:
+        return 0
+    amount = rng.randint(1, room)
+    apply_circular_payment(g, RebalanceCycle(u, hops), amount)
+    return amount
+
+
+def fee_graph(n_nodes, attach_degree, seed):
+    """A `generate_synthetic` topology with ties, parallel channels, gapped ids and an unreachable part.
+
+    Fees come from {0, 1, 500, 1000, 2500}, so equal-fee paths abound; a
+    fifth of the channels get a parallel twin; ids are a gapped sample
+    inserted in shuffled order; and five more nodes form a ring of their own.
+    """
+    rng = random.Random(seed)
+    ends = [(int(r.node_a[1:]), int(r.node_b[1:])) for r in generate_synthetic(n_nodes, attach_degree, (1, 2), seed)]
+    ends += [pair for pair in ends if rng.random() < 0.2]
+    ends += [(n_nodes + i, n_nodes + (i + 1) % 5) for i in range(5)]
+    rng.shuffle(ends)
+    specs = []
+    for a, b in ends:
+        cap = rng.randint(2, 50)
+        specs.append((a, b, cap, rng.randint(0, cap), rng.choice([0, 1, 500, 1000, 2500])))
+    return make_graph(specs, rng.sample(range(3 * len(specs)), len(specs)))
+
+
 class TestRouteCache:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
@@ -358,15 +450,33 @@ class TestRouteCache:
             pairs = [(s, t) for s, t in all_pairs if s in drawn]
             assert vars(sampled) == reference_report(g, oracle, pairs, amount, len(pairs))
             # one random executable circular payment moves balances, not routes
-            u = rng.choice(nodes)
-            cid = rng.choice(g.incident(u))[0]
-            cycles = enumerate_cycles(g, u, cid, Strategy.CYCLE5, 50)
-            if not cycles:
-                continue
-            hops = rng.choice(cycles)
-            room = min(g.channels[c].balance(sender) for sender, _, c in hops)
-            if room >= 1:
-                apply_circular_payment(g, RebalanceCycle(u, hops), rng.randint(1, room))
+            random_payment(g, rng)
+
+    @pytest.mark.parametrize("n_nodes, attach_degree, seed", [(60, 2, 1), (150, 3, 2), (300, 3, 3)])
+    def test_matches_dijkstra_reference(self, n_nodes, attach_degree, seed):
+        # at 300 nodes, 2,160 directed channels leave room for 7 sources in
+        # a block, so the call for all 305 sources spans 44 blocks
+        g = fee_graph(n_nodes, attach_degree, seed)
+        rng = random.Random(seed)
+        nodes = g.nodes()
+        routes = RouteCache(g)
+        sampled = rng.sample(nodes, 20)
+        assert np.array_equal(routes.bottlenecks(sampled), reference_bottlenecks(g, sampled))
+        assert sum(random_payment(g, rng) for _ in range(10)) > 0
+        assert np.array_equal(routes.bottlenecks(nodes), reference_bottlenecks(g, nodes))
+        assert sum(random_payment(g, rng) for _ in range(10)) > 0
+        assert np.array_equal(routes.bottlenecks(sampled[::-1]), reference_bottlenecks(g, sampled[::-1]))
+
+    def test_key_bound(self):
+        # three nodes: (n - 1) * n * fee + n stays below 2**62 up to this fee
+        top = (2**62 - 4) // 6
+        # 0 -> 2 goes direct (fee top, 1 hop), not through 1 (fee top, 2 hops)
+        specs = [(0, 1, 10, 4, top), (1, 2, 10, 7, 0), (0, 2, 10, 9, top)]
+        g = make_graph(specs)
+        assert np.array_equal(RouteCache(g).bottlenecks(g.nodes()), reference_bottlenecks(g, g.nodes()))
+        assert route_bottleneck(g, 0, 2) == 9
+        with pytest.raises(ValueError, match=r"below 2\*\*62"):
+            RouteCache(make_graph(specs[:2] + [(0, 2, 10, 9, top + 1)]))
 
     def test_other_graph_is_rejected(self):
         specs = [(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)]
