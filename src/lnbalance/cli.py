@@ -15,12 +15,13 @@ missing parent directories; a missing parent exits 3 and creates nothing.
 `simulate` stores each flag under the name of its `SimulationConfig`
 field and takes every default from `SimulationConfig`.
 
-`simulate` evaluates payment ability once per metrics sample, and every
-sample reuses the cheapest-path trees built for the run's graph at the
-first one.  `evaluate --sample-pairs N` takes its payment metrics from
-every pair of min(n, ceil(N / (n - 1))) sources drawn with `--seed` from
-the n nodes, and its report adds `success_rate_se`, the standard error
-of the sampled success rate (null for a single source).
+`simulate` evaluates payment ability once per metrics sample over all
+pairs, through one route cache of the run's graph and all its nodes, so
+the cheapest-path trees are built at the first sample and every later
+one reuses them.  `evaluate --sample-pairs N` takes its payment metrics
+from every pair of min(n, ceil(N / (n - 1))) sources drawn with `--seed`
+from the n nodes, and its report adds `success_rate_se`, the standard
+error of the sampled success rate (null for a single source).
 
 Exit codes: 0 success, 2 usage, 3 input data error, 4 invariant violation.
 """

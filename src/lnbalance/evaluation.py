@@ -9,15 +9,17 @@ liquidity is directional.
 
 Route choice reads only the topology and the base fees, and a circular
 payment changes neither: it moves balances alone.  So the cheapest-path
-tree of each source stays valid for the whole of a simulation run, and a
-:class:`RouteCache` computes it once per graph, a block of sources at a
-time in numpy: Bellman-Ford rounds on one int64 (fee, hops) key per node
-and source, then, hop level by hop level, a tie-break by the rank of
-each predecessor's path.  Each later evaluation only reads the current
-balances down the cached trees, one gather per hop level over every
-source.  A sampled evaluation draws sources and builds the trees of those
-alone.  Each source's own entry in its row is unbounded and sorts last,
-so one sorted array, cut before those entries, serves every statistic.
+tree of each source stays valid for the whole of a simulation run.  A
+:class:`RouteCache` holds the trees of one graph and of a source list
+fixed when it is made, and builds them all at its first read, a block of
+sources at a time in numpy: Bellman-Ford rounds on one int64 (fee, hops)
+key per node and source, then, hop level by hop level, a tie-break by
+the rank of each predecessor's path.  Each later read only takes the
+current balances down the cached trees, one gather per hop level over
+every source.  A sampled evaluation draws its sources first and builds
+the trees of those alone.  Each source's own entry in its row is
+unbounded and sorts last, so one sorted array, cut before those entries,
+serves every statistic.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ _BLOCK = 2**14  # int64 entries in one temporary: directed channels x sources, o
 class RouteCache:
     """Cheapest-path trees of one graph, one per source, built on first use.
 
+    The sources, node ids, are fixed when the cache is made: all nodes in
+    node order by default; an unknown one raises `KeyError`.  The first
+    :meth:`bottlenecks` call builds the trees of all of them, and every
+    call reads them.
+
     A route is the path of least (total base fee, hops, node sequence,
     last channel id).  The trees of a block of sources are built at once
     from one int64 key per (node, source), ``fee * n + hops``: hops stay
@@ -81,16 +88,17 @@ class RouteCache:
     balance.
 
     Each hop level, nearest first, is one int32 array of two rows over
-    every source built so far: the source's row in the cache and the
-    directed channel of the last hop.
+    every source: the source's place in `sources` and the directed
+    channel of the last hop.
 
     The trees hold only while the topology and the fees stay fixed, which
     circular payments guarantee; build a new cache for any other change.
-    :func:`evaluate_network` rejects a cache made for another graph.
+    :func:`evaluate_network` rejects a cache made for another graph or
+    other sources.
     Raises `ValueError` for a graph whose keys could reach 2**62.
     """
 
-    def __init__(self, g: NetworkGraph):
+    def __init__(self, g: NetworkGraph, sources: Sequence[int] | None = None):
         nodes = g.nodes()
         n = len(nodes)
         top = max((ch.base_fee_msat for ch in g.channels.values()), default=0)
@@ -101,10 +109,12 @@ class RouteCache:
                 f"and a base fee of {top} msat reach {(n - 1) * n * top + n}"
             )
         self._graph = g
-        self._index = {u: i for i, u in enumerate(nodes)}
+        self.sources = nodes if sources is None else list(sources)
+        index = {u: i for i, u in enumerate(nodes)}
+        self._cols = [index[s] for s in self.sources]  # node index of each source
         # directed channels by (target, channel id); balance slot 2k holds channel k's balance_a
         arcs = sorted(
-            (self._index[b], ch.cid, self._index[a], 2 * k + side, ch.base_fee_msat)
+            (index[b], ch.cid, index[a], 2 * k + side, ch.base_fee_msat)
             for k, ch in enumerate(g.channels.values())
             for side, (a, b) in enumerate(((ch.node_a, ch.node_b), (ch.node_b, ch.node_a)))
         )
@@ -113,46 +123,38 @@ class RouteCache:
         self._weight = fee * n + 1
         # every node is a channel endpoint, so each node has a run of incoming arcs
         self._first_in = _run_starts(target)
-        self._row = np.full(n, -1, dtype=np.int64)  # cache row of each built source, by node index
-        self._levels: list[np.ndarray] = []
+        self._levels: list[np.ndarray] | None = None  # built at the first read
 
-    def _build(self, fresh: list[int]) -> None:
-        """Build the trees of the node indices `fresh`, block by block, and merge their levels.
+    def _build(self) -> list[np.ndarray]:
+        """The hop levels of every source's tree, built block by block.
 
         The blocks' levels go into one buffer, each source reaching at most
         n - 1 targets, and are then copied out level by level, so the
         per-block pieces never fragment the heap.
         """
-        n = self._row.size
-        start = int(self._row.max()) + 1
-        self._row[fresh] = np.arange(start, start + len(fresh))
+        cols = self._cols
         width = max(1, _BLOCK // self._target.size)
-        entries = np.empty((2, len(fresh) * (n - 1)), dtype=np.int32)
+        entries = np.empty((2, len(cols) * (self._graph.num_nodes() - 1)), dtype=np.int32)
         spans: list[list[tuple[int, int]]] = []  # per hop level, its stretches of `entries`
         used = 0
-        for b in range(0, len(fresh), width):
-            for h, (rows, arcs) in enumerate(self._block_levels(fresh[b : b + width], start + b)):
-                entries[0, used : used + rows.size] = rows
+        for b in range(0, len(cols), width):
+            for h, (rows, arcs) in enumerate(self._block_levels(cols[b : b + width])):
+                entries[0, used : used + rows.size] = rows + b
                 entries[1, used : used + rows.size] = arcs
                 if h == len(spans):
                     spans.append([])
                 spans[h].append((used, used + rows.size))
                 used += rows.size
-        for h, stretches in enumerate(spans):
-            pieces = [entries[:, lo:hi] for lo, hi in stretches]
-            if h < len(self._levels):
-                self._levels[h] = np.concatenate([self._levels[h], *pieces], axis=1)
-            else:
-                self._levels.append(np.concatenate(pieces, axis=1))
+        return [np.concatenate([entries[:, lo:hi] for lo, hi in stretches], axis=1) for stretches in spans]
 
-    def _block_levels(self, cols: list[int], first_row: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def _block_levels(self, cols: list[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Each hop level of the trees of sources `cols` (node indices), nearest first.
 
-        A level is the cache rows of its entries (`first_row` for
-        ``cols[0]``, and on) and the directed channels of their last hops.
+        A level is the places in `cols` of its entries' sources and the
+        directed channels of their last hops.
         """
         target, pred, weight = self._target, self._pred, self._weight[:, None]
-        n, width = self._row.size, len(cols)
+        n, width = self._graph.num_nodes(), len(cols)
         keys = np.full((n, width), _FAR, dtype=np.int64)
         keys[cols, np.arange(width)] = 0
         while True:
@@ -178,31 +180,27 @@ class RouteCache:
             # within one column, the cell orders targets as node indices do
             order = np.argsort(best // target.size * (n * width) + here)
             rank[here[order]] = np.arange(order.size)
-            yield c + first_row, best % target.size
+            yield c, best % target.size
 
-    def bottlenecks(self, sources: Sequence[int]) -> np.ndarray:
-        """Bottlenecks from each of `sources` to every node, one row per source.
+    def bottlenecks(self) -> np.ndarray:
+        """Bottlenecks from each source to every node, one row per source.
 
         Rows follow `sources`, columns the node order.  A source's own
-        entry is `_UNBOUNDED`, which no real bottleneck exceeds.  Only
-        the trees of `sources` are built; the rows of every source built
-        so far are read, one hop level after another, `_BLOCK` entries at
-        a time.
+        entry is `_UNBOUNDED`, which no real bottleneck exceeds.  The
+        first call builds the trees; every call reads them, one hop level
+        after another, `_BLOCK` entries at a time.
         """
+        if self._levels is None:
+            self._levels = self._build()
         g = self._graph
-        wanted = [self._index[s] for s in sources]
-        fresh = [i for i in dict.fromkeys(wanted) if self._row[i] < 0]
-        if fresh:
-            self._build(fresh)
         balances = np.fromiter(
             itertools.chain.from_iterable((ch.balance_a, ch.balance_b) for ch in g.channels.values()),
             dtype=np.int64,
             count=2 * len(g.channels),
         )[self._slot]
-        n = self._row.size
-        built = np.flatnonzero(self._row >= 0)
-        rows = np.zeros((built.size, n), dtype=np.int64)
-        rows[self._row[built], built] = _UNBOUNDED
+        n = g.num_nodes()
+        rows = np.zeros((len(self._cols), n), dtype=np.int64)
+        rows[np.arange(len(self._cols)), self._cols] = _UNBOUNDED
         flat = rows.ravel()
         for level in self._levels:
             for b in range(0, level.shape[1], _BLOCK):
@@ -213,10 +211,7 @@ class RouteCache:
                 np.minimum(least, balances[arc], out=least)
                 at += self._target[arc]
                 flat[at] = least
-        picked = self._row[wanted]
-        if np.array_equal(picked, np.arange(built.size)):
-            return rows
-        return rows[picked]
+        return rows
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -262,9 +257,10 @@ def evaluate_network(
     notes the number of pairs used and, from two sources on, the standard
     error of the success rate.  The default `seed` is 0, as for `evaluate
     --seed`, so a sampled call draws the same sources every time.  Pass
-    the same `routes` to every evaluation of one graph so its
-    cheapest-path trees are built once; by default a fresh cache is made
-    for this call alone.
+    the same `routes` to every evaluation of one graph and source list so
+    its cheapest-path trees are built once; it must be a cache of `g` and
+    of the sources this call draws, all nodes for a full evaluation.  By
+    default a fresh cache is made for this call alone.
     """
     if amount < 1:
         raise ValueError("amount must be at least 1 satoshi")
@@ -272,10 +268,6 @@ def evaluate_network(
     n = len(nodes)
     if n < 2:
         raise ValueError("evaluation needs at least two nodes")
-    if routes is None:
-        routes = RouteCache(g)
-    elif routes._graph is not g:
-        raise ValueError("route cache used with a graph it was not built for")
     sources, sampled, se = nodes, None, None
     if sample_pairs is not None:
         if sample_pairs < 1:
@@ -283,7 +275,11 @@ def evaluate_network(
         count = min(-(-sample_pairs // (n - 1)), n)
         sources = random.Random(seed).sample(nodes, count)
         sampled = count * (n - 1)
-    rows = routes.bottlenecks(sources)
+    if routes is None:
+        routes = RouteCache(g, sources)
+    elif routes._graph is not g or routes.sources != sources:
+        raise ValueError("route cache used with a graph or sources it was not built for")
+    rows = routes.bottlenecks()
     # numpy compares an amount past int64 as a float, and no channel holds that much
     fits = amount <= _UNBOUNDED
     if sampled is not None and len(sources) > 1:

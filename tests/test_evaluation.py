@@ -115,13 +115,13 @@ def reference_bottlenecks(g, sources):
 
 
 def route_bottleneck(g, s, t):
-    return RouteCache(g).bottlenecks([s])[0].tolist()[g.nodes().index(t)]
+    return RouteCache(g, [s]).bottlenecks()[0].tolist()[g.nodes().index(t)]
 
 
 def pair_bottlenecks(g):
     """The bottleneck of every ordered pair, row by row, each source's own entry dropped."""
     nodes = g.nodes()
-    rows = RouteCache(g).bottlenecks(nodes).tolist()
+    rows = RouteCache(g).bottlenecks().tolist()
     return [v for s, row in zip(nodes, rows) for t, v in zip(nodes, row) if t != s]
 
 
@@ -329,11 +329,13 @@ class TestEvaluateNetwork:
         g = allocate_funds_coinflip(records, seed=4)
         n = g.num_nodes()
         for k in (1, n - 1, n, 5 * (n - 1) + 1, n * (n - 1)):
-            routes = RouteCache(g)
+            drawn = random.Random(3).sample(g.nodes(), -(-k // (n - 1)))
+            routes = RouteCache(g, drawn)
             report = evaluate_network(g, sample_pairs=k, seed=3, routes=routes)
-            built = [u for u, row in zip(g.nodes(), routes._row) if row >= 0]
-            assert sorted(built) == sorted(random.Random(3).sample(g.nodes(), -(-k // (n - 1))))
-            assert report.sampled_pairs == len(built) * (n - 1)
+            assert report == evaluate_network(g, sample_pairs=k, seed=3)
+            assert report.sampled_pairs == len(drawn) * (n - 1)
+            # every drawn source reaches every other node, and no other source is built
+            assert sum(level.shape[1] for level in routes._levels) == len(drawn) * (n - 1)
 
     def test_sample_of_all_sources_is_the_full_evaluation(self):
         records = generate_synthetic(30, 2, (100, 10_000), seed=4)
@@ -445,7 +447,7 @@ class TestRouteCache:
             full = evaluate_network(g, amount, routes=routes)
             assert vars(full) == reference_report(g, oracle, all_pairs, amount, None)
             k, sample_seed = rng.randint(1, len(all_pairs)), rng.randint(0, 99)
-            sampled = evaluate_network(g, amount, sample_pairs=k, seed=sample_seed, routes=routes)
+            sampled = evaluate_network(g, amount, sample_pairs=k, seed=sample_seed)
             drawn = random.Random(sample_seed).sample(nodes, -(-k // (len(nodes) - 1)))
             pairs = [(s, t) for s, t in all_pairs if s in drawn]
             assert vars(sampled) == reference_report(g, oracle, pairs, amount, len(pairs))
@@ -455,17 +457,16 @@ class TestRouteCache:
     @pytest.mark.parametrize("n_nodes, attach_degree, seed", [(60, 2, 1), (150, 3, 2), (300, 3, 3)])
     def test_matches_dijkstra_reference(self, n_nodes, attach_degree, seed):
         # at 300 nodes, 2,160 directed channels leave room for 7 sources in
-        # a block, so the call for all 305 sources spans 44 blocks
+        # a block, so the cache of all 305 sources builds in 44 blocks
         g = fee_graph(n_nodes, attach_degree, seed)
         rng = random.Random(seed)
-        nodes = g.nodes()
-        routes = RouteCache(g)
-        sampled = rng.sample(nodes, 20)
-        assert np.array_equal(routes.bottlenecks(sampled), reference_bottlenecks(g, sampled))
-        assert sum(random_payment(g, rng) for _ in range(10)) > 0
-        assert np.array_equal(routes.bottlenecks(nodes), reference_bottlenecks(g, nodes))
-        assert sum(random_payment(g, rng) for _ in range(10)) > 0
-        assert np.array_equal(routes.bottlenecks(sampled[::-1]), reference_bottlenecks(g, sampled[::-1]))
+        sampled = rng.sample(g.nodes(), 20)
+        caches = [RouteCache(g, sampled), RouteCache(g), RouteCache(g, sampled[::-1])]
+        for rounds in range(3):
+            if rounds:  # trees built before payments stay valid after them
+                assert sum(random_payment(g, rng) for _ in range(10)) > 0
+            for routes in caches:
+                assert np.array_equal(routes.bottlenecks(), reference_bottlenecks(g, routes.sources))
 
     def test_key_bound(self):
         # three nodes: (n - 1) * n * fee + n stays below 2**62 up to this fee
@@ -473,7 +474,7 @@ class TestRouteCache:
         # 0 -> 2 goes direct (fee top, 1 hop), not through 1 (fee top, 2 hops)
         specs = [(0, 1, 10, 4, top), (1, 2, 10, 7, 0), (0, 2, 10, 9, top)]
         g = make_graph(specs)
-        assert np.array_equal(RouteCache(g).bottlenecks(g.nodes()), reference_bottlenecks(g, g.nodes()))
+        assert np.array_equal(RouteCache(g).bottlenecks(), reference_bottlenecks(g, g.nodes()))
         assert route_bottleneck(g, 0, 2) == 9
         with pytest.raises(ValueError, match=r"below 2\*\*62"):
             RouteCache(make_graph(specs[:2] + [(0, 2, 10, 9, top + 1)]))
@@ -486,3 +487,12 @@ class TestRouteCache:
         # an equal graph is still another graph
         with pytest.raises(ValueError):
             evaluate_network(make_graph(specs), routes=routes)
+        # a cache of all sources serves full calls alone, one of drawn sources sampled calls alone
+        with pytest.raises(ValueError):
+            evaluate_network(g, sample_pairs=2, seed=1, routes=routes)
+        drawn = RouteCache(g, random.Random(1).sample(g.nodes(), 1))
+        evaluate_network(g, sample_pairs=2, seed=1, routes=drawn)
+        with pytest.raises(ValueError):
+            evaluate_network(g, routes=drawn)
+        with pytest.raises(KeyError):
+            RouteCache(g, [99])
