@@ -236,7 +236,7 @@ def _write_bundle(
     write_csv(bundle / "metrics.csv", ["ops_count", "imbalance", "success_rate", "median_payment_sat"],
               ([s.ops_count, repr(s.imbalance), repr(s.metrics[0]), s.metrics[1]] for s in result.samples))
     write_csv(bundle / "fees.csv", ["node_id", "net_fee_msat"],
-              ([g.label(node), result.ledger.net(node)] for node in result.graph.nodes()))
+              ([g.label(node), result.ledger[node]] for node in result.graph.nodes()))
     return result
 
 
@@ -312,9 +312,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
         raise AssertionError("unreachable")
-    except SnapshotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

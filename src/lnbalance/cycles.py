@@ -121,13 +121,13 @@ def enumerate_cycles(
 
     def extend(current: int, path: Hops) -> None:
         n = len(path) + 1  # length of a cycle closed at `current`
-        budget = max_len - n  # hops left to close after the next one
+        # hops left to close after the next one; at least 1, since the
+        # first call has max_len - 2 >= 2 and only budget >= 2 descends
+        budget = max_len - n
         closed = by_length[n]
         for close in closers.get(current, ()):
             if len(closed) < cap:
                 closed.append(path + (close,))
-        if budget == 0:
-            return
         steps = steps_at[budget].get(current)
         if steps is None:
             steps = steps_from(current, budget)

@@ -21,9 +21,10 @@ computes them once per run; the check compares each node's totals
 after the payment with the ones the rules used.  `run_simulation` fills
 one Gini table per run, and `attempt_rebalance` is its only writer.
 
-Routing fees are tracked in a hypothetical ledger only: forwarding nodes
-are credited what they would have charged and the initiator is debited,
-but no fee ever moves channel balances and no rule reads the ledger.  So
+Routing fees are tracked in a hypothetical ledger only, a `Counter` of
+signed per-node msat that sums to zero: forwarding nodes are credited
+what they would have charged and the initiator is debited, but no fee
+ever moves channel balances and no rule reads the ledger.  So
 `attempt_rebalance` records no fee: `run_simulation` tallies the fees of
 its operations, in order, once the run ends.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Callable, Mapping
@@ -84,23 +86,12 @@ class SimulationConfig:
             raise ValueError(f"agreement_mode must be one of {AGREEMENT_MODES}")
 
 
-class FeeLedger:
-    """Signed per-node millisatoshi totals: earned minus paid, zero-sum."""
+class FeeLedger(Counter):
+    """Signed per-node millisatoshi totals, earned minus paid; zero-sum.
 
-    def __init__(self):
-        self._net: dict[int, int] = {}
-
-    def credit(self, node: int, msat: int) -> None:
-        self._net[node] = self._net.get(node, 0) + msat
-
-    def debit(self, node: int, msat: int) -> None:
-        self._net[node] = self._net.get(node, 0) - msat
-
-    def net(self, node: int) -> int:
-        return self._net.get(node, 0)
-
-    def total(self) -> int:
-        return sum(self._net.values())
+    A plain `Counter`: `ledger[node]` is a node's net fee (0 when it
+    neither forwarded nor initiated), and `total()` sums the ledger.
+    """
 
 
 @dataclass(frozen=True)
@@ -325,9 +316,9 @@ def record_fees(ledger: FeeLedger, g: NetworkGraph, cycle: RebalanceCycle, amoun
     for sender, _, cid in cycle.hops[1:]:
         ch = g.channel(cid)
         fee = ch.base_fee_msat + (ch.fee_rate_ppm * amount * 1000) // 1_000_000
-        ledger.credit(sender, fee)
+        ledger[sender] += fee
         total += fee
-    ledger.debit(cycle.initiator, total)
+    ledger[cycle.initiator] -= total
 
 
 def attempt_rebalance(
@@ -416,8 +407,9 @@ def run_simulation(
     by `mpp_divisor` when the strategy splits amounts), and works through
     its cycle candidates in seeded-shuffled order until one executes.  When
     the proposal is below `min_amount`, no cycle is tried; the shuffle
-    still runs, so the random stream is the same.  Terminates after a sweep
-    with zero executed operations or at `max_operations`.  Whenever the
+    still runs, so the random stream is the same.  A sweep starts, and a
+    visit within it, only while fewer than `max_operations` have executed,
+    and the run ends after a sweep that executes none.  Whenever the
     network imbalance first falls below a new 0.01 grid value, `sampler`
     is called once on the graph and a sample stores what it returns, as
     is.  After the last sweep the fees of every operation, in order, go
@@ -442,14 +434,12 @@ def run_simulation(
     best_grid = math.floor(imbalance * 100 + 1e-9)
     cycle_cache: dict[tuple[int, int], list[Hops]] = {}
     ops = 0
-    capped = False
-    while not capped:
+    while ops < config.max_operations:
         order = nodes[:]
         rng.shuffle(order)
-        ops_this_sweep = 0
+        swept = ops
         for u in order:
             if ops >= config.max_operations:
-                capped = True
                 break
             if ginis[u] <= config.convergence_epsilon:
                 continue
@@ -475,7 +465,6 @@ def run_simulation(
                     continue
                 cycle, moved = executed
                 ops += 1
-                ops_this_sweep += 1
                 imbalance = mean_gini(ginis.values())
                 operations.append(OperationRecord(ops, u, cycle, moved, imbalance))
                 grid = math.floor(imbalance * 100 + 1e-9)
@@ -483,7 +472,7 @@ def run_simulation(
                     best_grid = grid
                     samples.append(take_sample(ops))
                 break
-        if ops_this_sweep == 0:
+        if ops == swept:
             break
     if samples[-1].ops_count != ops:
         samples.append(take_sample(ops))

@@ -443,8 +443,8 @@ class TestRecordFees:
         cycle = RebalanceCycle(0, ((0, 1, 0), (1, 0, 1)))
         ledger = FeeLedger()
         record_fees(ledger, g, cycle, 50_000)
-        assert ledger.net(1) == 1050  # 1000 base + 50,000,000 msat * 1 ppm
-        assert ledger.net(0) == -1050
+        assert ledger[1] == 1050  # 1000 base + 50,000,000 msat * 1 ppm
+        assert ledger[0] == -1050
         assert ledger.total() == 0
 
     def test_fee_parameters_respected(self):
@@ -452,9 +452,9 @@ class TestRecordFees:
         cycle = RebalanceCycle(0, ((0, 1, 0), (1, 2, 1), (2, 0, 2)))
         ledger = FeeLedger()
         record_fees(ledger, g, cycle, 10)
-        assert ledger.net(1) == 500 + (100 * 10 * 1000) // 10**6  # 501
-        assert ledger.net(2) == 21 + (10**6 * 10 * 1000) // 10**6  # 10021
-        assert ledger.net(0) == -(501 + 10021)
+        assert ledger[1] == 500 + (100 * 10 * 1000) // 10**6  # 501
+        assert ledger[2] == 21 + (10**6 * 10 * 1000) // 10**6  # 10021
+        assert ledger[0] == -(501 + 10021)
 
     def test_zero_sum_over_many_records(self):
         g = skewed_triangle()
@@ -563,7 +563,7 @@ def _overshoot(apply):
 
 def _credit_without_debit(record):
     def faulty(ledger, g, cycle, amount):
-        ledger.credit(cycle.hops[1][0], 1)
+        ledger[cycle.hops[1][0]] += 1
 
     return faulty
 
@@ -663,7 +663,7 @@ class TestRunSimulation:
         g = largest_scc(allocate_funds_coinflip(records, seed=3))
         res = run_simulation(g, config(seed=3, strategy=Strategy.CYCLE5))
         assert res.ledger.total() == 0
-        assert any(res.ledger.net(op.initiator) < 0 for op in res.operations)
+        assert any(res.ledger[op.initiator] < 0 for op in res.operations)
 
     def test_mpp_splits_amount(self):
         g = make_graph([(0, 1, 1000, 1000), (1, 2, 1000, 1000), (2, 0, 1000, 1000)])
@@ -777,7 +777,7 @@ class TestReferenceSimulation:
         min_amount=st.sampled_from([1, 5000]),
         require_sink_condition=st.booleans(),
         mpp_divisor=st.integers(min_value=1, max_value=30),
-        max_operations=st.sampled_from([3, 20, 150]),
+        max_operations=st.sampled_from([0, 3, 20, 150]),
     )
     def test_matches_run_simulation(self, n_nodes, degree, seed, **knobs):
         records = generate_synthetic(n_nodes, degree, (10_000, 1_000_000), seed)
@@ -793,4 +793,4 @@ class TestReferenceSimulation:
         assert got == expected
         # the run's one tally after its end equals recording at every payment
         nodes = result.graph.nodes()
-        assert [result.ledger.net(u) for u in nodes] == [ledger.net(u) for u in nodes]
+        assert [result.ledger[u] for u in nodes] == [ledger[u] for u in nodes]
