@@ -107,8 +107,9 @@ class NetworkGraph:
             u: (labels[u] if labels is not None and u in labels else str(u))
             for u in self.adjacency
         }
-        # neighbor-major ordering, built lazily; topology never changes
+        # per-node views of `adjacency`, built lazily; topology never changes
         self._nbr_sorted: dict[int, list[tuple[int, int]]] = {}
+        self._positions: dict[int, dict[int, int]] = {}
 
     def nodes(self) -> list[int]:
         return list(self.adjacency)
@@ -138,6 +139,14 @@ class NetworkGraph:
         if cached is None:
             cached = sorted((nb, cid) for cid, nb in self.incident(node))
             self._nbr_sorted[node] = cached
+        return cached
+
+    def incident_positions(self, node: int) -> dict[int, int]:
+        """Channel id -> its position in `incident(node)`."""
+        cached = self._positions.get(node)
+        if cached is None:
+            cached = {cid: i for i, (cid, _) in enumerate(self.incident(node))}
+            self._positions[node] = cached
         return cached
 
     def label(self, node: int) -> str:

@@ -19,7 +19,9 @@ take a node's (tau, kappa) from `node_totals` as an argument, because
 circular payments never change either total and the simulation
 computes them once per run; the check compares each node's totals
 after the payment with the ones the rules used.  `run_simulation` fills
-one Gini table per run, and `attempt_rebalance` is its only writer.
+one Gini table per run: each node's coefficient vector, in `incident`
+order, in `coefficients`, and the Gini of that vector in `ginis`.
+`attempt_rebalance` is the table's only writer and writes both.
 
 Routing fees are tracked in a hypothetical ledger only, a `Counter` of
 signed per-node msat that sums to zero: forwarding nodes are credited
@@ -48,7 +50,7 @@ from .model import (
     gini,
     mean_gini,
     node_coefficients,
-    node_gini,
+    node_gini,  # not called here; perfbench/tracing.py wraps it under this name
     node_totals,
 )
 
@@ -161,7 +163,9 @@ def _band_bound(
     return max(min(requested, desired_amount(g, x, out_cid, totals), receivable), 0)
 
 
-def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: int, before: float) -> int:
+def _gini_bound(
+    g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: int, before: float, coefficients: list[float]
+) -> int:
     """Largest amount that does not raise x's Gini `before`, solved on a convex excess.
 
     Forwarding a moves only two of x's n coefficients, each linearly:
@@ -178,13 +182,14 @@ def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: i
     and it lands on it within a few pieces.
 
     The float root only seeds the answer.  x's coefficient vector is
-    built once, in `incident` order, so its `gini` is `before`, x's
-    Gini-table entry; the float test `gini(vector shifted by a) <= before`
-    decides.  Steps that double away from the root's floor find an amount
-    that passes it and one that fails it, and bisection between them ends
-    at an a that passes while a + 1 fails (or is `bound`, which failed).
-    Where the test is monotone in a, that a is the largest passing amount;
-    either way a call makes O(log bound) probes.
+    copied from `coefficients`, x's Gini-table entry in `incident` order,
+    so its `gini` is `before` and no probe writes into the table; the
+    float test `gini(vector shifted by a) <= before` decides.  Steps that
+    double away from the root's floor find an amount that passes it and
+    one that fails it, and bisection between them ends at an a that
+    passes while a + 1 fails (or is `bound`, which failed).  Where the
+    test is monotone in a, that a is the largest passing amount; either
+    way a call makes O(log bound) probes.
     """
     out_ch = g.channel(out_cid)
     in_ch = g.channel(in_cid)
@@ -196,10 +201,10 @@ def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: i
     bound = min(requested, b_out, c_in - b_in)
     if bound < 1:
         return 0
-    cids = [cid for cid, _ in g.incident(x)]
-    zetas = node_coefficients(g, x)
-    i_out = cids.index(out_cid)
-    i_in = cids.index(in_cid)
+    positions = g.incident_positions(x)
+    i_out = positions[out_cid]
+    i_in = positions[in_cid]
+    zetas = coefficients.copy()
 
     def feasible(a: int) -> bool:
         zetas[i_out] = (b_out - a) / c_out
@@ -208,7 +213,8 @@ def _gini_bound(g: NetworkGraph, x: int, in_cid: int, out_cid: int, requested: i
 
     if feasible(bound):
         return bound
-    others = sorted(z for i, z in enumerate(zetas) if i != i_out and i != i_in)
+    first, last = sorted((i_out, i_in))
+    others = sorted(coefficients[:first] + coefficients[first + 1:last] + coefficients[last + 1:])
     m = len(others)
     prefix = [0.0, *accumulate(others)]
     weight = before * len(zetas)
@@ -273,18 +279,20 @@ def max_agreeable_amount(
     requested: int,
     totals: tuple[int, int],
     current_gini: float,
+    coefficients: list[float],
     mode: str = "band",
 ) -> int:
     """How much of `requested` node x agrees to forward; 0 declines.
 
-    `totals` is x's (tau, kappa) from `node_totals` and `current_gini` its
-    `node_gini`, the run's Gini-table entry.  Band mode lets both
-    touched coefficients move toward x's node coefficient without
-    crossing it; gini mode accepts any amount that does not increase x's
-    Gini, preferring the largest.  The result never exceeds `requested`,
-    and is 0 when `requested` < 1.  Both bounds read x's balance on each
-    channel first, so an unknown channel raises `KeyError` and a channel
-    x is not on raises `ValueError`.
+    `totals` is x's (tau, kappa) from `node_totals`; `current_gini` and
+    `coefficients` are its `node_gini` and `node_coefficients`, x's
+    entries in the run's Gini table, which gini mode reads but never
+    writes.  Band mode lets both touched coefficients move toward x's
+    node coefficient without crossing it; gini mode accepts any amount
+    that does not increase x's Gini, preferring the largest.  The result
+    never exceeds `requested`, and is 0 when `requested` < 1.  Both
+    bounds read x's balance on each channel first, so an unknown channel
+    raises `KeyError` and a channel x is not on raises `ValueError`.
     """
     if in_cid == out_cid:
         raise ValueError("in and out channel must differ")
@@ -292,7 +300,7 @@ def max_agreeable_amount(
         raise ValueError(f"mode must be one of {AGREEMENT_MODES}")
     if mode == "band":
         return _band_bound(g, x, in_cid, out_cid, requested, totals)
-    return _gini_bound(g, x, in_cid, out_cid, requested, current_gini)
+    return _gini_bound(g, x, in_cid, out_cid, requested, current_gini, coefficients)
 
 
 def check_sink_condition(g: NetworkGraph, u: int, last_cid: int, totals: tuple[int, int]) -> bool:
@@ -328,34 +336,42 @@ def attempt_rebalance(
     config: SimulationConfig,
     totals: Mapping[int, tuple[int, int]],
     ginis: dict[int, float],
+    coefficients: dict[int, list[float]],
 ) -> tuple[RebalanceCycle, int] | None:
     """Try one circular rebalance; returns the executed cycle and amount, or None.
 
     The initiator u proposes `amount` on the first of `hops`.  `totals`
-    maps each cycle node to its (tau, kappa) from `node_totals`, and the
-    run's Gini table `ginis` to its current `node_gini`.  The sink
+    maps each cycle node to its (tau, kappa) from `node_totals`; the
+    run's Gini table maps it to its current `node_gini` in `ginis` and
+    its current `node_coefficients` in `coefficients`.  The sink
     condition is checked unless the config waives it (easier path finding
     at the cost of small oscillations), and every intermediate node caps
     the amount by its agreement rule, declining below `min_amount`.  The
     amount never exceeds u's balance on the first hop, because the first
     intermediary can receive no more.  Only then is the `RebalanceCycle`
-    built (a malformed one raises `ValueError`), the payment applied
-    atomically, checked, and each cycle node's new Gini written into
-    `ginis`.  Declines leave the state and `ginis` untouched.  No fee is
-    recorded here: the run tallies fees from its operations once it ends.
+    built (a malformed one raises `ValueError`) and the payment applied
+    atomically.  Each cycle node's coefficient vector is then rebuilt
+    from its balances and its Gini taken from it; the payment is checked
+    against those, and both are written into the table.  Declines leave
+    the state and the table untouched.  No fee is recorded here: the run
+    tallies fees from its operations once it ends.
     """
     u = hops[0][0]
     if config.require_sink_condition and not check_sink_condition(g, u, hops[-1][2], totals[u]):
         return None
     for (_, _, in_cid), (x, _, out_cid) in zip(hops, hops[1:]):
-        amount = max_agreeable_amount(g, x, in_cid, out_cid, amount, totals[x], ginis[x], config.agreement_mode)
+        amount = max_agreeable_amount(
+            g, x, in_cid, out_cid, amount, totals[x], ginis[x], coefficients[x], config.agreement_mode
+        )
         if amount < config.min_amount:
             return None
     cycle = RebalanceCycle(u, hops)
     apply_circular_payment(g, cycle, amount)
-    after = {x: node_gini(g, x) for x in cycle.nodes}
+    vectors = {x: node_coefficients(g, x) for x in cycle.nodes}
+    after = {x: gini(vector) for x, vector in vectors.items()}
     _check_executed(g, hops, totals, config.agreement_mode, ginis, after)
     ginis.update(after)
+    coefficients.update(vectors)
     return cycle, amount
 
 
@@ -423,7 +439,8 @@ def run_simulation(
     # circular payments never change a node's (tau, kappa)
     totals = {u: node_totals(g, u) for u in nodes}
     divisor = config.mpp_divisor if config.strategy.splits_amount else 1
-    ginis = {u: node_gini(g, u) for u in nodes}
+    coefficients = {u: node_coefficients(g, u) for u in nodes}
+    ginis = {u: gini(coefficients[u]) for u in nodes}
     imbalance = mean_gini(ginis.values())
 
     def take_sample(ops_count: int) -> MetricsSample:
@@ -460,7 +477,7 @@ def run_simulation(
             if amount < config.min_amount:
                 continue
             for i in indices:
-                executed = attempt_rebalance(g, cyc[i], amount, config, totals, ginis)
+                executed = attempt_rebalance(g, cyc[i], amount, config, totals, ginis, coefficients)
                 if executed is None:
                     continue
                 cycle, moved = executed

@@ -16,6 +16,7 @@ from lnbalance.model import (
     RebalanceCycle,
     gini,
     network_imbalance,
+    node_coefficients,
     node_gini,
     node_totals,
 )
@@ -74,8 +75,14 @@ def proposal_of(g):
     return desired_amount(g, 0, 0, node_totals(g, 0))
 
 
-def ginis_of(g):
-    return {u: node_gini(g, u) for u in g.nodes()}
+def gini_table(g):
+    """A Gini table fresh from the balances: (ginis, coefficients), as `attempt_rebalance` takes it."""
+    return {u: node_gini(g, u) for u in g.nodes()}, {u: node_coefficients(g, u) for u in g.nodes()}
+
+
+def table_of(g, x):
+    """x's Gini-table entries, as `max_agreeable_amount` takes them."""
+    return {"current_gini": node_gini(g, x), "coefficients": node_coefficients(g, x)}
 
 
 @st.composite
@@ -134,26 +141,26 @@ class TestMaxAgreeableAmount:
         # x = node 0: out 8/10, in 2/10, nu = 0.5
         g = make_graph([(0, 1, 10, 8), (0, 2, 10, 2)])
         assert max_agreeable_amount(
-            g, 0, in_cid=1, out_cid=0, requested=10, totals=node_totals(g, 0), current_gini=node_gini(g, 0)
+            g, 0, in_cid=1, out_cid=0, requested=10, totals=node_totals(g, 0), **table_of(g, 0)
         ) == 3
 
     def test_band_declines_when_out_below_nu(self):
         g = make_graph([(0, 1, 10, 2), (0, 2, 10, 8)])
         assert max_agreeable_amount(
-            g, 0, in_cid=1, out_cid=0, requested=5, totals=node_totals(g, 0), current_gini=node_gini(g, 0)
+            g, 0, in_cid=1, out_cid=0, requested=5, totals=node_totals(g, 0), **table_of(g, 0)
         ) == 0
 
     def test_band_small_request_granted(self):
         g = make_graph([(0, 1, 10, 10), (0, 2, 10, 0)])
         assert max_agreeable_amount(
-            g, 0, in_cid=1, out_cid=0, requested=1, totals=node_totals(g, 0), current_gini=node_gini(g, 0)
+            g, 0, in_cid=1, out_cid=0, requested=1, totals=node_totals(g, 0), **table_of(g, 0)
         ) == 1
 
     def test_same_channel_rejected(self):
         g = make_graph([(0, 1, 10, 5), (0, 2, 10, 5)])
         with pytest.raises(ValueError):
             max_agreeable_amount(
-                g, 0, in_cid=0, out_cid=0, requested=1, totals=node_totals(g, 0), current_gini=node_gini(g, 0)
+                g, 0, in_cid=0, out_cid=0, requested=1, totals=node_totals(g, 0), **table_of(g, 0)
             )
 
     @pytest.mark.parametrize("mode", ["band", "gini"])
@@ -161,18 +168,17 @@ class TestMaxAgreeableAmount:
     def test_channel_errors_raised_for_any_request(self, mode, requested):
         # node 0 is on channels 0 and 2 but not on channel 1
         g = make_graph([(0, 1, 10, 8), (1, 2, 10, 5), (0, 2, 10, 2)])
-        totals, before = node_totals(g, 0), node_gini(g, 0)
+        totals, before, kept = node_totals(g, 0), node_gini(g, 0), node_coefficients(g, 0)
         with pytest.raises(ValueError, match=r"^node \d+ is not an endpoint of channel \d+$"):
-            max_agreeable_amount(g, 0, 0, 1, requested, totals, before, mode)
+            max_agreeable_amount(g, 0, 0, 1, requested, totals, before, kept, mode)
         with pytest.raises(KeyError, match="unknown channel"):
-            max_agreeable_amount(g, 0, 0, 99, requested, totals, before, mode)
+            max_agreeable_amount(g, 0, 0, 99, requested, totals, before, kept, mode)
 
     def test_gini_mode_never_increases_gini(self):
         g = make_graph([(0, 1, 10, 8), (0, 2, 10, 2), (0, 3, 50, 25)])
         before = node_gini(g, 0)
         granted = max_agreeable_amount(
-            g, 0, in_cid=1, out_cid=0, requested=10, totals=node_totals(g, 0),
-            current_gini=node_gini(g, 0), mode="gini",
+            g, 0, in_cid=1, out_cid=0, requested=10, totals=node_totals(g, 0), **table_of(g, 0), mode="gini",
         )
         assert granted > 0
         shift(g, 0, 0, granted)
@@ -183,11 +189,10 @@ class TestMaxAgreeableAmount:
         # out way above nu, in slightly below: band is tight, gini allows more
         g = make_graph([(0, 1, 100, 100), (0, 2, 100, 40), (0, 3, 100, 0)])
         band = max_agreeable_amount(
-            g, 0, in_cid=2, out_cid=0, requested=100, totals=node_totals(g, 0), current_gini=node_gini(g, 0)
+            g, 0, in_cid=2, out_cid=0, requested=100, totals=node_totals(g, 0), **table_of(g, 0)
         )
         gini_amt = max_agreeable_amount(
-            g, 0, in_cid=2, out_cid=0, requested=100, totals=node_totals(g, 0),
-            current_gini=node_gini(g, 0), mode="gini",
+            g, 0, in_cid=2, out_cid=0, requested=100, totals=node_totals(g, 0), **table_of(g, 0), mode="gini",
         )
         assert gini_amt >= band
 
@@ -200,7 +205,7 @@ class TestMaxAgreeableAmount:
         requested = data.draw(st.integers(min_value=1, max_value=cap_out + 1))
         g = make_graph(specs)
         granted = max_agreeable_amount(
-            g, 0, in_cid, out_cid, requested, node_totals(g, 0), node_gini(g, 0), mode="gini"
+            g, 0, in_cid, out_cid, requested, node_totals(g, 0), **table_of(g, 0), mode="gini"
         )
 
         def gini_after(amount):
@@ -231,7 +236,7 @@ class TestMaxAgreeableAmount:
         requested = data.draw(st.integers(min_value=1, max_value=cap_out + 1))
         g = make_graph([(0, 1, cap_out, b_out), (0, 2, cap_in, b_in), (0, 3, cap_other, b_other)])
         granted = max_agreeable_amount(
-            g, 0, in_cid=1, out_cid=0, requested=requested, totals=node_totals(g, 0), current_gini=node_gini(g, 0)
+            g, 0, in_cid=1, out_cid=0, requested=requested, totals=node_totals(g, 0), **table_of(g, 0)
         )
         assert 0 <= granted <= min(requested, b_out)
         if granted:
@@ -242,11 +247,13 @@ class TestMaxAgreeableAmount:
             assert (b_in + granted) * kappa <= tau * cap_in
 
 
-def bisected_gini_bound(g, x, in_cid, out_cid, requested, before):
+def bisected_gini_bound(g, x, in_cid, out_cid, requested, before, coefficients):
     """Reference oracle for the gini bound: bisection over the same float test.
 
     The amounts that do not raise x's Gini form an interval starting at 0,
     so bisection finds its end with about log2(bound) full `gini` probes.
+    It takes the kept `coefficients` as `_gini_bound` does, but builds its
+    own vector from the balances.
     """
     out_ch = g.channels[out_cid]
     in_ch = g.channels[in_cid]
@@ -309,8 +316,21 @@ def test_gini_bound_matches_the_bisection(case):
     specs, out_cid, in_cid, requested = case
     g = make_graph(specs)
     before = node_gini(g, 0)
-    granted = max_agreeable_amount(g, 0, in_cid, out_cid, requested, node_totals(g, 0), before, mode="gini")
-    assert granted == bisected_gini_bound(g, 0, in_cid, out_cid, requested, before)
+    kept = node_coefficients(g, 0)
+    granted = max_agreeable_amount(g, 0, in_cid, out_cid, requested, node_totals(g, 0), before, kept, mode="gini")
+    assert granted == bisected_gini_bound(g, 0, in_cid, out_cid, requested, before, kept)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=wide_star())
+def test_gini_bound_probes_never_write_into_the_table(case):
+    """Where the probe at the bound fails, Newton and the bracket probe on; every probe shifts a copy."""
+    specs, out_cid, in_cid, requested = case
+    g = make_graph(specs)
+    kept = node_coefficients(g, 0)
+    granted = max_agreeable_amount(g, 0, in_cid, out_cid, requested, node_totals(g, 0), gini(kept), kept, "gini")
+    assume(granted < min(requested, specs[out_cid][3], specs[in_cid][2] - specs[in_cid][3]))
+    assert kept == node_coefficients(g, 0)
 
 
 def test_gini_run_matches_the_bisection(monkeypatch):
@@ -351,7 +371,7 @@ def test_gini_bound_probes_grow_with_log_bound(data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rebalancer, "gini", counted)
-        granted = rebalancer._gini_bound(g, 0, in_cid, out_cid, requested, before)
+        granted = rebalancer._gini_bound(g, 0, in_cid, out_cid, requested, before, node_coefficients(g, 0))
 
     bound = min(requested, b_out, cap_in - b_in)
     assert probes <= 2 * (bound - 1).bit_length() + 4  # (bound - 1).bit_length() is ceil(log2 bound)
@@ -408,7 +428,7 @@ def test_band_moves_never_raise_the_capacity_weighted_gini(specs, data):
     requested = data.draw(st.integers(min_value=1, max_value=specs[out_cid][2] + 1))
     g = make_graph(specs)
     before = weighted_gini(g, 0)
-    granted = max_agreeable_amount(g, 0, in_cid, out_cid, requested, node_totals(g, 0), node_gini(g, 0))
+    granted = max_agreeable_amount(g, 0, in_cid, out_cid, requested, node_totals(g, 0), **table_of(g, 0))
     shift(g, out_cid, 0, granted)
     shift(g, in_cid, specs[in_cid][1], granted)
     assert weighted_gini(g, 0) <= before
@@ -417,8 +437,7 @@ def test_band_moves_never_raise_the_capacity_weighted_gini(specs, data):
 def test_band_move_can_raise_the_unweighted_gini():
     # nu = 10 / 30; out channel 1 goes 5 -> 2 of 5, in channel 0 goes 3 -> 6 of 23
     g = make_graph([(0, 1, 23, 3), (0, 2, 5, 5), (0, 3, 2, 2)])
-    assert max_agreeable_amount(g, 0, in_cid=0, out_cid=1, requested=3, totals=node_totals(g, 0),
-                                current_gini=node_gini(g, 0)) == 3
+    assert max_agreeable_amount(g, 0, in_cid=0, out_cid=1, requested=3, totals=node_totals(g, 0), **table_of(g, 0)) == 3
     before = (node_gini(g, 0), weighted_gini(g, 0))
     shift(g, 1, 0, 3)
     shift(g, 0, 1, 3)
@@ -468,7 +487,7 @@ class TestAttemptRebalance:
     def test_triangle_executes_five(self):
         g = skewed_triangle()
         assert proposal_of(g) == 5
-        cycle, amount = attempt_rebalance(g, TRIANGLE_HOPS, 5, config(), totals_of(g), ginis_of(g))
+        cycle, amount = attempt_rebalance(g, TRIANGLE_HOPS, 5, config(), totals_of(g), *gini_table(g))
         assert cycle == triangle_cycle()
         assert amount == 5
         assert network_imbalance(g) == 0.0
@@ -479,14 +498,14 @@ class TestAttemptRebalance:
         # node 1 has nothing on its outgoing channel
         g = make_graph([(0, 1, 10, 10), (1, 2, 10, 0), (2, 0, 10, 10)])
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
-        outcome = attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), config(), totals_of(g), ginis_of(g))
+        outcome = attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), config(), totals_of(g), *gini_table(g))
         assert outcome is None
         assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
 
     def test_declines_on_zero_desired(self):
         g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)])
         assert proposal_of(g) == 0
-        assert attempt_rebalance(g, TRIANGLE_HOPS, 0, config(), totals_of(g), ginis_of(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, 0, config(), totals_of(g), *gini_table(g)) is None
 
     def test_sink_condition_blocks(self):
         # initiator's receiving side of the last channel sits above its nu
@@ -497,30 +516,34 @@ class TestAttemptRebalance:
 
         g = build()
         amount = proposal_of(g)
-        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, config(), totals_of(g), ginis_of(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, config(), totals_of(g), *gini_table(g)) is None
         relaxed = config(require_sink_condition=False)
         g = build()
-        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, relaxed, totals_of(g), ginis_of(g))[1] == 2
+        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, relaxed, totals_of(g), *gini_table(g))[1] == 2
 
     def test_min_amount_threshold(self):
         # a proposal below min_amount is declined at the first intermediary
         g = skewed_triangle()
         cfg = config(min_amount=6)
-        assert attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), cfg, totals_of(g), ginis_of(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), cfg, totals_of(g), *gini_table(g)) is None
 
     def test_gini_table_rewritten_for_cycle_nodes_only(self):
         # the skewed triangle plus node 3, off the cycle, with an uneven Gini
         g = make_graph([(0, 1, 10, 10), (1, 2, 10, 10), (2, 0, 10, 10), (0, 3, 10, 5), (3, 4, 10, 2)])
-        ginis = ginis_of(g)
+        ginis, coefficients = gini_table(g)
         start = dict(ginis)
-        amount = proposal_of(g)
-        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, config(min_amount=6), totals_of(g), ginis) is None
+        kept = dict(coefficients)
+        amount, totals = proposal_of(g), totals_of(g)
+        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, config(min_amount=6), totals, ginis, coefficients) is None
         assert ginis == start
-        cycle, _ = attempt_rebalance(g, TRIANGLE_HOPS, amount, config(), totals_of(g), ginis)
-        assert ginis == ginis_of(g)
+        assert all(coefficients[u] is kept[u] for u in g.nodes())
+        assert coefficients == gini_table(g)[1]
+        cycle, _ = attempt_rebalance(g, TRIANGLE_HOPS, amount, config(), totals, ginis, coefficients)
+        assert (ginis, coefficients) == gini_table(g)
         assert {u for u in ginis if ginis[u] != start[u]} == set(cycle.nodes) == {0, 1, 2}
+        assert {u for u in coefficients if coefficients[u] != kept[u]} == {0, 1, 2}
         assert start[3] > 0
-        assert all(ginis[u] is start[u] for u in (3, 4))
+        assert all(ginis[u] is start[u] and coefficients[u] is kept[u] for u in (3, 4))
 
     def test_malformed_hops_rejected_before_any_mutation(self):
         # a figure eight through initiator 0: every rule agrees to 5, but
@@ -531,10 +554,10 @@ class TestAttemptRebalance:
         assert check_sink_condition(g, 0, 3, totals[0])
         assert desired_amount(g, 0, 0, totals[0]) == 5
         for (_, _, in_cid), (x, _, out_cid) in zip(hops, hops[1:]):
-            assert max_agreeable_amount(g, x, in_cid, out_cid, 5, totals[x], node_gini(g, x)) == 5
+            assert max_agreeable_amount(g, x, in_cid, out_cid, 5, totals[x], **table_of(g, x)) == 5
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
         with pytest.raises(ValueError, match="^initiator may appear only at the cycle ends$"):
-            attempt_rebalance(g, hops, 5, config(), totals, ginis_of(g))
+            attempt_rebalance(g, hops, 5, config(), totals, *gini_table(g))
         assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
 
 
@@ -595,7 +618,7 @@ def test_post_condition_catches_faulty_execution(monkeypatch, specs, mode, targe
     g = make_graph(specs) if specs else skewed_triangle()
     monkeypatch.setattr(rebalancer, target, fault(getattr(rebalancer, target)))
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
-        attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), config(agreement_mode=mode), totals_of(g), ginis_of(g))
+        attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), config(agreement_mode=mode), totals_of(g), *gini_table(g))
 
 
 def test_fee_tally_catches_a_ledger_that_loses_zero_sum(monkeypatch):
@@ -684,12 +707,25 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("mode", ["band", "gini"])
     @pytest.mark.parametrize("strategy", list(Strategy))
-    def test_imbalance_equals_the_models_exactly(self, strategy, mode):
+    def test_imbalance_equals_the_models_exactly(self, monkeypatch, strategy, mode):
         records = generate_synthetic(60, 3, (10_000, 1_000_000), seed=9)
         g = largest_scc(allocate_funds_coinflip(records, seed=9))
+        attempt = rebalancer.attempt_rebalance
+        checked = []
+
+        def checked_attempt(g, hops, amount, config, totals, ginis, coefficients):
+            executed = attempt(g, hops, amount, config, totals, ginis, coefficients)
+            if executed is not None:
+                # every node's table entries, not only the cycle's, equal the model's
+                assert (ginis, coefficients) == gini_table(g)
+                checked.append(executed)
+            return executed
+
+        monkeypatch.setattr(rebalancer, "attempt_rebalance", checked_attempt)
         # mpp/gini runs for thousands of shrinking payments before it stops
         res = run_simulation(g, config(seed=9, strategy=strategy, agreement_mode=mode, max_operations=150))
         assert res.operations
+        assert len(checked) == len(res.operations)
         assert res.operations[-1].imbalance_after == network_imbalance(res.graph)
         assert res.samples[-1].imbalance == network_imbalance(res.graph)
 
@@ -754,8 +790,9 @@ def reference_simulation(g, config):
             for i in indices:
                 totals = {x: node_totals(g, x) for x, _, _ in cycles[i]}
                 ginis = {x: node_gini(g, x) for x, _, _ in cycles[i]}
+                coefficients = {x: node_coefficients(g, x) for x, _, _ in cycles[i]}
                 amount = desired_amount(g, u, cid, totals[u]) // divisor
-                executed = attempt_rebalance(g, cycles[i], amount, config, totals, ginis)
+                executed = attempt_rebalance(g, cycles[i], amount, config, totals, ginis, coefficients)
                 if executed is not None:
                     cycle, amount = executed
                     record_fees(ledger, g, cycle, amount)
