@@ -470,14 +470,14 @@ def run_simulation(
             cyc = cycle_cache[key]
             if not cyc:
                 continue
-            indices = list(range(len(cyc)))
-            rng.shuffle(indices)
+            tries = cyc[:]
+            rng.shuffle(tries)
             # u proposes once per visit: a declined attempt moves no balance
             amount = desired_amount(g, u, cid, totals[u]) // divisor
             if amount < config.min_amount:
                 continue
-            for i in indices:
-                executed = attempt_rebalance(g, cyc[i], amount, config, totals, ginis, coefficients)
+            for hops in tries:
+                executed = attempt_rebalance(g, hops, amount, config, totals, ginis, coefficients)
                 if executed is None:
                     continue
                 cycle, moved = executed

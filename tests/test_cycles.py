@@ -4,24 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphs import make_graph
 from lnbalance.cycles import Strategy, enumerate_cycles
-from lnbalance.model import Channel, NetworkGraph
-
-
-def graph_from_edges(edges):
-    channels = [
-        Channel(cid=i, node_a=a, node_b=b, capacity=10, balance_a=5, balance_b=5)
-        for i, (a, b) in enumerate(edges)
-    ]
-    return NetworkGraph(channels)
 
 
 def triangle():
-    return graph_from_edges([(0, 1), (1, 2), (2, 0)])
+    return make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)])
 
 
 def clique(n):
-    return graph_from_edges([(i, j) for i in range(n) for j in range(i + 1, n)])
+    return make_graph([(i, j, 10, 5) for i in range(n) for j in range(i + 1, n)])
 
 
 def brute_force_cycles(g, initiator, cid, max_len):
@@ -98,11 +90,11 @@ class TestTriangleAndCliques:
         assert len(cycles[0]) == 3  # shortest first
 
     def test_path_graph_has_no_cycles(self):
-        g = graph_from_edges([(0, 1), (1, 2), (2, 3)])
+        g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 3, 10, 5)])
         assert enumerate_cycles(g, 0, 0, Strategy.CYCLE5, cap=10) == []
 
     def test_parallel_channels_make_two_hop_cycles(self):
-        g = graph_from_edges([(0, 1), (0, 1)])
+        g = make_graph([(0, 1, 10, 5), (0, 1, 10, 5)])
         cycles = enumerate_cycles(g, 0, 0, Strategy.CYCLE4, cap=10)
         assert set(cycles) == {((0, 1, 0), (1, 0, 1))}
 
@@ -111,7 +103,7 @@ class TestTriangleAndCliques:
             enumerate_cycles(triangle(), 0, 99, Strategy.CYCLE4, cap=10)
 
     def test_initiator_not_on_channel(self):
-        g = graph_from_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+        g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5), (2, 3, 10, 5)])
         with pytest.raises(ValueError, match="^node 0 is not an endpoint of channel 3$"):
             enumerate_cycles(g, 0, 3, Strategy.CYCLE4, cap=10)
 
@@ -124,7 +116,8 @@ class TestTriangleAndCliques:
     def test_order_is_neighbor_then_channel_at_each_hop(self):
         # channels 1 and 2 are parallel: node sequences repeat, and the
         # channel taken at hop 2 outranks the node reached at hop 3
-        g = graph_from_edges([(0, 1), (1, 2), (1, 2), (2, 3), (2, 4), (3, 0), (4, 0)])
+        edges = [(0, 1), (1, 2), (1, 2), (2, 3), (2, 4), (3, 0), (4, 0)]
+        g = make_graph([(a, b, 10, 5) for a, b in edges])
         cycles = enumerate_cycles(g, 0, 0, Strategy.CYCLE4, cap=100)
         assert [(tuple(s for s, _, _ in c), tuple(ch for _, _, ch in c)) for c in cycles] == [
             ((0, 1, 2, 3), (0, 1, 3, 5)),
@@ -137,7 +130,8 @@ class TestTriangleAndCliques:
         # channels 0, 2 and 5 are parallel between the initiator and its
         # first-hop peer 1, and the first hop takes the middle one; 1 and 4
         # are parallel on the inner hop 1-2
-        g = graph_from_edges([(0, 1), (1, 2), (0, 1), (2, 3), (1, 2), (0, 1), (3, 0), (2, 0), (1, 3)])
+        edges = [(0, 1), (1, 2), (0, 1), (2, 3), (1, 2), (0, 1), (3, 0), (2, 0), (1, 3)]
+        g = make_graph([(a, b, 10, 5) for a, b in edges])
         expected = [
             ((0, 1, 2), (1, 0, 0)),
             ((0, 1, 2), (1, 0, 5)),
@@ -175,7 +169,7 @@ def random_graph(seed, max_nodes=8):
         edges.append(edges[rng.randrange(len(edges))])
     if not edges:
         edges = [(0, 1)]
-    return graph_from_edges(edges)
+    return make_graph([(a, b, 10, 5) for a, b in edges])
 
 
 class TestBruteForceEquivalence:

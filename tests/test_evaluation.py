@@ -10,30 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphs import make_graph
 from lnbalance.cycles import Strategy, enumerate_cycles
 from lnbalance.evaluation import RouteCache, cdf_points, evaluate_network, ks_distance
 from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic
 from lnbalance.model import (
     MAX_CAPACITY_SAT,
-    Channel,
-    NetworkGraph,
     RebalanceCycle,
     apply_circular_payment,
     gini_distribution,
 )
-
-
-def make_graph(specs, ids=None):
-    """specs: (node_a, node_b, capacity, balance_a[, base_fee]), inserted in order.
-
-    Channel i takes id ids[i], or i when `ids` is None.
-    """
-    channels = []
-    for i, spec in enumerate(specs):
-        a, b, cap, bal = spec[:4]
-        base = spec[4] if len(spec) > 4 else 1000
-        channels.append(Channel(i if ids is None else ids[i], a, b, cap, bal, cap - bal, base, 1))
-    return NetworkGraph(channels)
 
 
 def oracle_routes(g):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphs import make_graph
 from lnbalance.model import (
     Channel,
     InsufficientBalanceError,
@@ -17,15 +18,6 @@ from lnbalance.model import (
     node_gini,
     node_totals,
 )
-
-
-def make_graph(specs):
-    """specs: (node_a, node_b, capacity, balance_a) per channel."""
-    channels = [
-        Channel(cid=i, node_a=a, node_b=b, capacity=cap, balance_a=bal, balance_b=cap - bal)
-        for i, (a, b, cap, bal) in enumerate(specs)
-    ]
-    return NetworkGraph(channels)
 
 
 def gini_double_sum(values):

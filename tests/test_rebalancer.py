@@ -1,18 +1,22 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lnbalance
+from graphs import make_graph
 from lnbalance import rebalancer
 from lnbalance.cycles import Strategy, enumerate_cycles
 from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic, largest_scc
 from lnbalance.model import (
-    Channel,
     InvariantViolation,
-    NetworkGraph,
     RebalanceCycle,
     gini,
     network_imbalance,
@@ -31,16 +35,6 @@ from lnbalance.rebalancer import (
     record_fees,
     run_simulation,
 )
-
-
-def make_graph(specs):
-    """specs: (node_a, node_b, capacity, balance_a[, base_fee, fee_rate])."""
-    channels = []
-    for i, spec in enumerate(specs):
-        a, b, cap, bal = spec[:4]
-        base, rate = (spec[4], spec[5]) if len(spec) > 4 else (1000, 1)
-        channels.append(Channel(i, a, b, cap, bal, cap - bal, base, rate))
-    return NetworkGraph(channels)
 
 
 def shift(g, cid, sender, amount):
@@ -642,8 +636,6 @@ class TestRunSimulation:
         assert network_imbalance(res.graph) == 0.0
 
     def test_deterministic_replay(self):
-        from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic, largest_scc
-
         records = generate_synthetic(60, 3, (10_000, 1_000_000), seed=9)
 
         def run():
@@ -660,8 +652,6 @@ class TestRunSimulation:
         assert a.samples == b.samples
 
     def test_max_operations_caps_run(self):
-        from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic, largest_scc
-
         records = generate_synthetic(60, 3, (10_000, 1_000_000), seed=9)
         g = largest_scc(allocate_funds_coinflip(records, seed=9))
         res = run_simulation(g, config(seed=9, strategy=Strategy.FOAF, max_operations=5))
@@ -680,8 +670,6 @@ class TestRunSimulation:
         assert [s.metrics for s in res.samples] == [("probe", i + 1) for i in range(len(calls))]
 
     def test_fee_ledger_zero_sum_after_run(self):
-        from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic, largest_scc
-
         records = generate_synthetic(50, 3, (10_000, 1_000_000), seed=3)
         g = largest_scc(allocate_funds_coinflip(records, seed=3))
         res = run_simulation(g, config(seed=3, strategy=Strategy.CYCLE5))
@@ -697,8 +685,6 @@ class TestRunSimulation:
         "strategy, divisor", [pytest.param(Strategy.CYCLE4, 20, id="cycle4"), pytest.param(Strategy.MPP, 7, id="mpp")]
     )
     def test_operation_amounts_respect_min(self, strategy, divisor):
-        from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic, largest_scc
-
         records = generate_synthetic(50, 3, (10_000, 1_000_000), seed=4)
         g = largest_scc(allocate_funds_coinflip(records, seed=4))
         res = run_simulation(g, config(seed=4, strategy=strategy, mpp_divisor=divisor, min_amount=500))
@@ -730,13 +716,34 @@ class TestRunSimulation:
         assert res.samples[-1].imbalance == network_imbalance(res.graph)
 
     def test_gini_mode_runs_clean(self):
-        from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic, largest_scc
-
         records = generate_synthetic(30, 2, (10_000, 100_000), seed=6)
         g = largest_scc(allocate_funds_coinflip(records, seed=6))
         res = run_simulation(g, config(seed=6, strategy=Strategy.FOAF, agreement_mode="gini"))
         # _check_executed asserts per op that no intermediate's Gini increased
         assert res.ledger.total() == 0
+
+    def test_core_runs_without_numpy(self):
+        """model, cycles, rebalancer and ingestion import and run with numpy blocked."""
+        script = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import lnbalance
+from lnbalance import cycles, ingestion, model, rebalancer
+records = ingestion.generate_synthetic(40, 3, (10_000, 1_000_000), seed=2)
+g = ingestion.largest_scc(ingestion.allocate_funds_coinflip(records, seed=2))
+res = rebalancer.run_simulation(g, rebalancer.SimulationConfig(seed=2, strategy=cycles.Strategy.CYCLE4))
+print(lnbalance.__version__, len(res.operations), model.network_imbalance(res.graph))
+"""
+        src = str(Path(rebalancer.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        records = generate_synthetic(40, 3, (10_000, 1_000_000), seed=2)
+        res = run_simulation(largest_scc(allocate_funds_coinflip(records, seed=2)), config(seed=2))
+        assert res.operations
+        assert proc.stdout.split() == [lnbalance.__version__, str(len(res.operations)),
+                                       repr(network_imbalance(res.graph))]
 
 
 class TestSimulationConfig:
