@@ -1,29 +1,46 @@
 """Candidate rebalancing cycle enumeration under four selection strategies.
 
-A candidate is a plain tuple of ``(sender, receiver, channel id)`` hops
-that starts with the hop the initiator wants to drain and returns to the
+A candidate is a tuple of ``(sender, receiver, channel id)`` hops that
+starts with the hop the initiator wants to drain and returns to the
 initiator through distinct nodes and channels.
 ``cycle4``/``cycle5`` enumerate all simple cycles of at most 4/5 hops;
 ``foaf`` (and ``mpp``, which shares its cycle set and only splits amounts)
 searches up to 6 hops but stays inside the initiator's friend-of-a-friend
-node set.  Enumeration is a pure read of the topology: shortest cycles
-first, lexicographic by hop within a length, so truncating at a cap is
-reproducible.  The simulation kernel validates a candidate as a
-:class:`~lnbalance.model.RebalanceCycle` only when it executes.
+node set, the nodes within two hops of it.  Enumeration is a pure read of
+the topology: shortest cycles first, lexicographic by hop within a
+length, so truncating at a cap is reproducible.  The simulation kernel
+validates a candidate as a :class:`~lnbalance.model.RebalanceCycle` only
+when it executes.
 
-The search is one depth-first walk, pruned three ways.  A breadth-first
-pass gives every node's hop distance back to the initiator, and the walk
-steps only to nodes that can still close in the hops left.  Cut at two
-hops for the foaf strategies, the one pass gives both the foaf set and
-the distances inside it.  The initiator's closing channels are grouped by
-neighbour once per call, so a cycle closes by lookup rather than by
-scanning neighbours, and the last hop closes without descending.
+Storage.  :func:`enumerate_cycles` returns a :class:`CycleRows`, which
+keeps no object per candidate.  One flat ``array`` per cycle length holds,
+for each cycle of L hops, the ids of its L - 1 hops after the first (see
+:meth:`~lnbalance.model.NetworkGraph.hop_table`), cycle after cycle.
+Indexing builds a candidate's hop tuple from the graph's hop table, so the
+run builds a tuple only for the cycle it attempts.
+
+Pruning.  The search is one depth-first walk that does only its hop
+limit's work:
+
+- The first step out of the peer is not tested: every neighbour of the
+  peer lies within two hops of the initiator, and at least two hops are
+  left there.
+- Any other step that leaves two or more hops to close goes only into
+  the initiator's two-hop ball, which for the foaf strategies is also the
+  foaf set.  ``cycle4`` takes no such step, so it builds no ball.
+- A cycle closes at a node by a lookup in the initiator's hops grouped by
+  neighbour.  A last step comes from intersecting the node's neighbours
+  with the initiator's (iterating the smaller side), and the step and its
+  closing hop are written together without descending.
+
+Each (node, hops left) lists its steps once per call.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from enum import Enum
+from typing import Callable, Iterator
 
 from .model import NetworkGraph
 
@@ -48,20 +65,69 @@ class Strategy(Enum):
 DEFAULT_FOAF_MAX_LEN = 6
 
 
-def _bfs_distances(g: NetworkGraph, target: int, limit: int) -> dict[int, int]:
-    """Hop distance to `target` of every node within `limit` hops; farther nodes are missing."""
-    dist = {target: 0}
-    queue = deque([target])
-    while queue:
-        v = queue.popleft()
-        if dist[v] == limit:
-            break  # every node still queued is as far as v
-        for _, nb in g.incident(v):
-            if nb in dist:
-                continue
-            dist[nb] = dist[v] + 1
-            queue.append(nb)
-    return dist
+# _BUILD[k](first, hop, ids, j), for k up to DEFAULT_FOAF_MAX_LEN - 1: the
+# hop tuple of the cycle whose hops after `first` have the ids ids[j:j + k].
+# Written out per k, because a map() over the slice costs about twice as
+# much, and the run builds one per attempt.
+_BUILD = (
+    None,
+    lambda f, h, r, j: (f, h[r[j]]),
+    lambda f, h, r, j: (f, h[r[j]], h[r[j + 1]]),
+    lambda f, h, r, j: (f, h[r[j]], h[r[j + 1]], h[r[j + 2]]),
+    lambda f, h, r, j: (f, h[r[j]], h[r[j + 1]], h[r[j + 2]], h[r[j + 3]]),
+    lambda f, h, r, j: (f, h[r[j]], h[r[j + 1]], h[r[j + 2]], h[r[j + 3]], h[r[j + 4]]),
+)
+
+
+class CycleRows:
+    """The cycles of one `enumerate_cycles` call: a read-only sequence of hop tuples.
+
+    `rows` holds (stride, ids) per cycle length, shortest first: `ids` is
+    a flat array that holds, for each cycle of stride + 1 hops, the ids of
+    its hops after `first`, cycle after cycle.  `hop` is the graph's
+    `hop_table`.  `len`, integer indexing (negative too), iteration and
+    `==` against another `CycleRows` or a list of hop tuples behave as on
+    the list of the hop tuples; each access builds a new tuple.
+    """
+
+    __slots__ = ("_first", "_hop", "_rows", "_len")
+
+    def __init__(self, first: tuple[int, int, int], hop: list[tuple[int, int, int]], rows: list[tuple[int, array]]):
+        self._first = first
+        self._hop = hop
+        # (index of the row's first cycle, stride, ids, builder), longest
+        # cycles first, so that an index finds its row from the top
+        self._rows: list[tuple[int, int, array, Callable[..., Hops]]] = []
+        start = 0
+        for stride, ids in rows:
+            self._rows.insert(0, (start, stride, ids, _BUILD[stride]))
+            start += len(ids) // stride
+        self._len = start
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> Hops:
+        if i < 0:
+            i += self._len
+        if 0 <= i < self._len:
+            for start, stride, ids, build in self._rows:
+                if i >= start:
+                    return build(self._first, self._hop, ids, (i - start) * stride)
+        raise IndexError("cycle index out of range")
+
+    def __iter__(self) -> Iterator[Hops]:
+        for _, stride, ids, build in reversed(self._rows):
+            for j in range(0, len(ids), stride):
+                yield build(self._first, self._hop, ids, j)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (CycleRows, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"CycleRows({list(self)!r})"
 
 
 def enumerate_cycles(
@@ -70,81 +136,101 @@ def enumerate_cycles(
     cid: int,
     strategy: Strategy,
     cap: int,
-) -> list[Hops]:
-    """Simple cycles, as hop tuples, starting with the hop initiator->peer on channel `cid`.
+) -> CycleRows:
+    """Simple cycles starting with the hop initiator->peer on channel `cid`.
 
-    Returns at most `cap` cycles, shortest first.  Within each length
-    the order is lexicographic by hop: at each hop by (next node, channel
-    id), so with parallel channels the channel taken at an earlier hop
-    outranks the nodes reached later.  Length counts hops; two-hop cycles
-    exist only through parallel channels.
+    Returns at most `cap` cycles, shortest first, as a `CycleRows` of hop
+    tuples.  Within each length the order is lexicographic by hop: at each
+    hop by (next node, channel id), so with parallel channels the channel
+    taken at an earlier hop outranks the nodes reached later.  Length
+    counts hops; two-hop cycles exist only through parallel channels.
 
-    One depth-first pass in that order fills a list per length and stops
-    adding to a list once it holds `cap` cycles.  On entering a node the
-    walk first closes every cycle that ends there: the initiator's
-    channels to that node, bar `cid`, are grouped by neighbour once per
-    call.  Only then does it go deeper, and deeper cycles are longer, so
-    each length's list stays in order.  It steps only to nodes whose hop
-    distance to the initiator (inside the foaf set, for the foaf
-    strategies) still fits the hops left; those steps are listed once per
-    (node, hops left) and call.  With one hop left it closes at the
-    neighbour without descending.
+    One depth-first pass in that order writes each cycle's hop ids
+    straight into the array of its length, and stops adding to an array
+    once it holds `cap` cycles.  On each step the walk first closes every
+    cycle that ends at the node it steps to, then goes deeper; deeper
+    cycles are longer, so each length's array stays in order.  It steps
+    only to nodes that can still close in the hops left (see the module
+    docstring), and those steps are listed once per (node, hops left)
+    and call.  At the last node before the initiator it writes the last
+    steps without descending.
     """
     if cap < 1:
         raise ValueError("cycle cap must be at least 1")
     v = g.channel(cid).peer(initiator)
     max_len = {Strategy.CYCLE4: 4, Strategy.CYCLE5: 5}.get(strategy, DEFAULT_FOAF_MAX_LEN)
-    # the foaf set is the two-hop ball, and a shortest path into it never leaves it
-    dist = _bfs_distances(g, initiator, 2 if strategy.foaf_restricted else max_len - 2)
-    closers: dict[int, list[tuple[int, int, int]]] = {}
-    for nb, cc in g.incident_by_neighbor(initiator):
-        if cc != cid:
-            closers.setdefault(nb, []).append((nb, initiator, cc))
-    # steps_at[budget][node]: (next node, hops to append) for each step from
-    # `node` that can still close within `budget` further hops; with one hop
-    # left, the step and its closing hop together
-    steps_at: list[dict[int, list[tuple[int, Hops]]]] = [{} for _ in range(max_len)]
-    by_length: list[list[Hops]] = [[] for _ in range(max_len + 1)]
+    hop = g.hop_table()
+    # the initiator's hops by neighbour: a cycle closes at nb by the hop
+    # back, d ^ 1, of each d in around[nb]
+    around = g.hops_by_neighbor(initiator)
+    ball: set[int] = set()
+    if max_len > 4:
+        ball.update(around)
+        for nb in around:
+            ball.update(g.hops_by_neighbor(nb))
+    # rows[n]: the cycles of n hops, n - 1 hop ids each, up to full[n] ids
+    rows = [array("i") for _ in range(max_len + 1)]
+    full = [cap * (n - 1) for n in range(max_len + 1)]
+    # two-hop cycles close at the peer over a parallel channel
+    rows[2].extend(d ^ 1 for d in around[v] if hop[d][2] != cid)
+    path = array("i")  # hop ids after the first hop
     on_path = {initiator, v}
+    # steps_at[budget][node]: (next node, hop id) for each step from `node`
+    # that can still close within `budget` further hops
+    steps_at: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(max_len - 1)]
+    steps_at[max_len - 2][v] = [(nb, d) for nb, out in g.hops_by_neighbor(v).items() for d in out]
+    # last_at[node]: (next node, hop id, closing hop id) for each last step
+    last_at: dict[int, list[tuple[int, int, int]]] = {}
 
-    def steps_from(current: int, budget: int) -> list[tuple[int, Hops]]:
-        steps: list[tuple[int, Hops]] = []
-        for nb, cc in g.incident_by_neighbor(current):
-            if 0 < dist.get(nb, budget + 1) <= budget:
-                hop = (current, nb, cc)
-                if budget == 1:
-                    steps += [(nb, (hop, close)) for close in closers.get(nb, ())]
-                else:
-                    steps.append((nb, (hop,)))
-        steps_at[budget][current] = steps
-        return steps
-
-    def extend(current: int, path: Hops) -> None:
-        n = len(path) + 1  # length of a cycle closed at `current`
-        # hops left to close after the next one; at least 1, since the
-        # first call has max_len - 2 >= 2 and only budget >= 2 descends
-        budget = max_len - n
-        closed = by_length[n]
-        for close in closers.get(current, ()):
-            if len(closed) < cap:
-                closed.append(path + (close,))
+    def extend(current: int, budget: int) -> None:
+        # steps from `current`, with `budget` >= 2 hops left after each; a
+        # cycle closed at the next node has n hops
+        n = max_len - budget + 1
         steps = steps_at[budget].get(current)
         if steps is None:
-            steps = steps_from(current, budget)
-        if budget == 1:
-            # each step closes at once; the list may pass `cap` by this one
-            # batch, which the cut at return drops
-            closed = by_length[n + 1]
-            if len(closed) < cap:
-                for nb, tail in steps:
-                    if nb not in on_path:
-                        closed.append(path + tail)
-            return
-        for nb, tail in steps:
-            if nb not in on_path:
+            steps = [(nb, d) for nb, out in g.hops_by_neighbor(current).items() if nb in ball for d in out]
+            steps_at[budget][current] = steps
+        row = rows[n]
+        last_row = rows[n + 1]
+        for nb, d in steps:
+            if nb in on_path:
+                continue
+            path.append(d)
+            if len(row) < full[n]:
+                for c in around.get(nb, ()):
+                    row += path
+                    row.append(c ^ 1)
+            if budget > 2:
                 on_path.add(nb)
-                extend(nb, path + tail)
+                extend(nb, budget - 1)
                 on_path.discard(nb)
+            elif len(last_row) < full[n + 1]:
+                # nb is the last node before the initiator: its last steps
+                # close at once and never return to nb.  The array may
+                # pass `cap` by this one batch, which the cut below drops.
+                last = last_at.get(nb)
+                if last is None:
+                    out = g.hops_by_neighbor(nb)
+                    small, large = (around, out) if len(around) < len(out) else (out, around)
+                    last = [(nb2, d2, c ^ 1) for nb2 in small if nb2 in large for d2 in out[nb2] for c in around[nb2]]
+                    last_at[nb] = last
+                for nb2, d2, c in last:
+                    if nb2 not in on_path:
+                        last_row += path
+                        last_row.append(d2)
+                        last_row.append(c)
+            path.pop()
 
-    extend(v, ((initiator, v, cid),))
-    return [c for cycles in by_length for c in cycles][:cap]
+    extend(v, max_len - 2)
+    # `extend` refers to itself through its closure: drop it, so that the
+    # call's memos are freed now rather than at the next cyclic collection
+    del extend
+    kept = []
+    left = cap
+    for n in range(2, max_len + 1):
+        count = min(len(rows[n]) // (n - 1), left)
+        if count:
+            del rows[n][count * (n - 1):]
+            kept.append((n - 1, rows[n]))
+            left -= count
+    return CycleRows((initiator, v, cid), hop, kept)

@@ -107,8 +107,10 @@ class NetworkGraph:
             u: (labels[u] if labels is not None and u in labels else str(u))
             for u in self.adjacency
         }
-        # per-node views of `adjacency`, built lazily; topology never changes
-        self._nbr_sorted: dict[int, list[tuple[int, int]]] = {}
+        # views of the topology, built lazily; topology never changes
+        self._hops: list[tuple[int, int, int]] = []
+        self._hop_ids: dict[int, int] = {}
+        self._nbr_hops: dict[int, dict[int, list[int]]] = {}
         self._positions: dict[int, dict[int, int]] = {}
 
     def nodes(self) -> list[int]:
@@ -133,12 +135,30 @@ class NetworkGraph:
         except KeyError:
             raise KeyError(f"unknown node {node}") from None
 
-    def incident_by_neighbor(self, node: int) -> list[tuple[int, int]]:
-        """(neighbor, channel id) pairs for `node`, ordered by neighbor then id."""
-        cached = self._nbr_sorted.get(node)
+    def hop_table(self) -> list[tuple[int, int, int]]:
+        """Every directed hop (sender, receiver, channel id), indexed by its hop id.
+
+        The k-th channel of `channels` has hop ids 2k, sent by `node_a`,
+        and 2k + 1, sent by `node_b`; so id ^ 1 is the reverse hop.
+        """
+        if not self._hops:
+            for k, ch in enumerate(self.channels.values()):
+                self._hop_ids[ch.cid] = 2 * k
+                self._hops += [(ch.node_a, ch.node_b, ch.cid), (ch.node_b, ch.node_a, ch.cid)]
+        return self._hops
+
+    def hops_by_neighbor(self, node: int) -> dict[int, list[int]]:
+        """Neighbor -> ids (see `hop_table`) of the hops from `node` to it.
+
+        Neighbors ascend, and each list is in channel-id order.
+        """
+        cached = self._nbr_hops.get(node)
         if cached is None:
-            cached = sorted((nb, cid) for cid, nb in self.incident(node))
-            self._nbr_sorted[node] = cached
+            self.hop_table()
+            cached = {}
+            for nb, cid in sorted((nb, cid) for cid, nb in self.incident(node)):
+                cached.setdefault(nb, []).append(self._hop_ids[cid] + (node != self.channels[cid].node_a))
+            self._nbr_hops[node] = cached
         return cached
 
     def incident_positions(self, node: int) -> dict[int, int]:

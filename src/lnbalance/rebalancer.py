@@ -21,7 +21,10 @@ computes them once per run; the check compares each node's totals
 after the payment with the ones the rules used.  `run_simulation` fills
 one Gini table per run: each node's coefficient vector, in `incident`
 order, in `coefficients`, and the Gini of that vector in `ginis`.
-`attempt_rebalance` is the table's only writer and writes both.
+`attempt_rebalance` is the table's only writer and writes both.  The run
+also caches each (node, channel)'s cycle candidates, once enumerated, as a
+`CycleRows` of flat hop ids, and builds a candidate's hop tuple only when
+it attempts that candidate.
 
 Routing fees are tracked in a hypothetical ledger only, a `Counter` of
 signed per-node msat that sums to zero: forwarding nodes are credited
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Callable, Mapping
 
-from .cycles import Hops, Strategy, enumerate_cycles
+from .cycles import CycleRows, Hops, Strategy, enumerate_cycles
 from .model import (
     InvariantViolation,
     NetworkGraph,
@@ -421,9 +424,13 @@ def run_simulation(
     (Gini above the convergence threshold, nonempty candidate set) picks a
     random candidate channel, proposes its desired amount there once (split
     by `mpp_divisor` when the strategy splits amounts), and works through
-    its cycle candidates in seeded-shuffled order until one executes.  When
-    the proposal is below `min_amount`, no cycle is tried; the shuffle
-    still runs, so the random stream is the same.  A sweep starts, and a
+    its cycle candidates in seeded-shuffled order until one executes.  The
+    candidates of a (node, channel) are enumerated at its first visit and
+    cached for the run as a `CycleRows`; a visit shuffles their indices,
+    which draws as shuffling the candidates would, and builds the hop
+    tuple of each candidate only when it attempts it.  When the proposal
+    is below `min_amount`, no cycle is tried; the shuffle still runs, so
+    the random stream is the same.  A sweep starts, and a
     visit within it, only while fewer than `max_operations` have executed,
     and the run ends after a sweep that executes none.  Whenever the
     network imbalance first falls below a new 0.01 grid value, `sampler`
@@ -449,7 +456,7 @@ def run_simulation(
     operations: list[OperationRecord] = []
     samples = [take_sample(0)]
     best_grid = math.floor(imbalance * 100 + 1e-9)
-    cycle_cache: dict[tuple[int, int], list[Hops]] = {}
+    cycle_cache: dict[tuple[int, int], CycleRows] = {}
     ops = 0
     while ops < config.max_operations:
         order = nodes[:]
@@ -470,14 +477,14 @@ def run_simulation(
             cyc = cycle_cache[key]
             if not cyc:
                 continue
-            tries = cyc[:]
+            tries = list(range(len(cyc)))
             rng.shuffle(tries)
             # u proposes once per visit: a declined attempt moves no balance
             amount = desired_amount(g, u, cid, totals[u]) // divisor
             if amount < config.min_amount:
                 continue
-            for hops in tries:
-                executed = attempt_rebalance(g, hops, amount, config, totals, ginis, coefficients)
+            for i in tries:
+                executed = attempt_rebalance(g, cyc[i], amount, config, totals, ginis, coefficients)
                 if executed is None:
                     continue
                 cycle, moved = executed

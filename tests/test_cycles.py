@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphs import make_graph
 from lnbalance.cycles import Strategy, enumerate_cycles
+from lnbalance.ingestion import allocate_funds_coinflip, generate_synthetic, largest_scc
 
 
 def triangle():
@@ -245,3 +247,77 @@ class TestBruteForceEquivalence:
         for c in enumerate_cycles(g, u, cid, Strategy.FOAF, cap=10_000):
             assert {s for s, _, _ in c} <= allowed
             assert len(c) <= 6
+
+
+class TestCycleRows:
+    """`enumerate_cycles` returns a read-only sequence that acts as the list of its hop tuples."""
+
+    def cycles_and_list(self):
+        # lengths 3, 4 and 5, so the cycles span three rows
+        g = clique(5)
+        return enumerate_cycles(g, 0, 0, Strategy.CYCLE5, cap=100), ordered_oracle(g, 0, 0, Strategy.CYCLE5, 100)
+
+    def test_len_indexing_and_iteration(self):
+        cycles, expected = self.cycles_and_list()
+        assert sorted({len(c) for c in expected}) == [3, 4, 5]
+        assert len(cycles) == len(expected)
+        assert [cycles[i] for i in range(len(cycles))] == expected
+        assert [cycles[i] for i in range(-len(cycles), 0)] == expected
+        assert list(cycles) == expected
+        assert all(type(c) is tuple and all(type(h) is tuple for h in c) for c in cycles)
+
+    def test_index_past_either_end_raises(self):
+        cycles, _ = self.cycles_and_list()
+        for i in (len(cycles), len(cycles) + 7, -len(cycles) - 1):
+            with pytest.raises(IndexError):
+                cycles[i]
+        empty = enumerate_cycles(make_graph([(0, 1, 10, 5), (1, 2, 10, 5)]), 0, 0, Strategy.CYCLE4, cap=10)
+        assert len(empty) == 0 and not empty and list(empty) == []
+        with pytest.raises(IndexError):
+            empty[0]
+
+    def test_equality(self):
+        cycles, expected = self.cycles_and_list()
+        assert cycles == expected
+        assert cycles == enumerate_cycles(clique(5), 0, 0, Strategy.CYCLE5, cap=100)
+        assert cycles != expected[:-1]
+        assert cycles != expected[::-1]
+        assert cycles != enumerate_cycles(clique(5), 0, 0, Strategy.CYCLE5, cap=3)
+        assert enumerate_cycles(make_graph([(0, 1, 10, 5)]), 0, 0, Strategy.FOAF, cap=10) == []
+
+    def test_random_draws_match_the_list(self):
+        # random.choice indexes by a draw on the length, and shuffling the
+        # indices permutes as shuffling the list does: the run loop's stream
+        cycles, expected = self.cycles_and_list()
+        for seed in range(20):
+            assert random.Random(seed).choice(cycles) == random.Random(seed).choice(expected)
+            order = list(range(len(cycles)))
+            random.Random(seed).shuffle(order)
+            shuffled = expected[:]
+            random.Random(seed).shuffle(shuffled)
+            assert [cycles[i] for i in order] == shuffled
+
+    def test_channel_ids_past_int32(self):
+        # the arrays hold hop ids, which number the graph's channels from 0
+        specs = [(a, b, 10, 5) for a in range(5) for b in range(a + 1, 5)]
+        g = make_graph(specs, ids=[2**40 + 3 * i for i in range(len(specs))])
+        for strategy in Strategy:
+            assert enumerate_cycles(g, 0, 2**40, strategy, cap=100) == ordered_oracle(g, 0, 2**40, strategy, 100)
+
+    def test_cached_cycle_costs_under_48_bytes(self):
+        # kept as flat hop ids, not as a tuple of hop tuples (about 140 B)
+        g = largest_scc(allocate_funds_coinflip(generate_synthetic(100, 3, (10_000, 1_000_000), 5), 5))
+        keys = [(u, cid) for u in g.nodes()[::7] for cid, _ in g.incident(u)]
+        for u, cid in keys:
+            # the graph's lazy views are built once per graph, not per cycle
+            enumerate_cycles(g, u, cid, Strategy.FOAF, 5000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [enumerate_cycles(g, u, cid, Strategy.FOAF, 5000) for u, cid in keys]
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        count = sum(len(cycles) for cycles in kept)
+        assert count > 10_000
+        assert grown / count < 48

@@ -266,3 +266,22 @@ class TestGraphBasics:
     def test_nodes_sorted(self):
         g = make_graph([(5, 3, 10, 5), (3, 1, 10, 5)])
         assert g.nodes() == [1, 3, 5]
+
+    def test_hop_table_and_hops_by_neighbor(self):
+        # gapped ids inserted out of order, a parallel pair, ids past int32
+        g = make_graph([(2, 1, 10, 5), (0, 1, 10, 5), (1, 0, 10, 5), (0, 2, 10, 5)], ids=[9, 2**40, 4, 7])
+        hop = g.hop_table()
+        assert hop == [
+            (2, 1, 9), (1, 2, 9),
+            (0, 1, 2**40), (1, 0, 2**40),
+            (1, 0, 4), (0, 1, 4),
+            (0, 2, 7), (2, 0, 7),
+        ]
+        assert all(hop[d ^ 1] == (r, s, cid) for d, (s, r, cid) in enumerate(hop))
+        # neighbors ascending, each list in channel-id order
+        assert g.hops_by_neighbor(0) == {1: [5, 2], 2: [6]}
+        assert g.hops_by_neighbor(1) == {0: [4, 3], 2: [1]}
+        for node in g.nodes():
+            assert sorted(hop[d] for ds in g.hops_by_neighbor(node).values() for d in ds) == sorted(
+                (node, nb, cid) for cid, nb in g.incident(node)
+            )
