@@ -17,7 +17,11 @@ keeps no object per candidate.  One flat ``array`` per cycle length holds,
 for each cycle of L hops, the ids of its L - 1 hops after the first (see
 :meth:`~lnbalance.model.NetworkGraph.hop_table`), cycle after cycle.
 Indexing builds a candidate's hop tuple from the graph's hop table, so the
-run builds a tuple only for the cycle it attempts.
+run builds a tuple only for a cycle it hands to the attempt kernel.
+:meth:`CycleRows.first_reaching` reads the hop ids straight from the
+arrays, with no tuple at all: a band run scans a visit's cycles with it
+against per-hop caps kept by hop id, and builds the one tuple of the cycle
+that executes.  Both find a cycle's row by the same lookup.
 
 Pruning.  The search is one depth-first walk that does only its hop
 limit's work:
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from array import array
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Sequence
 
 from .model import NetworkGraph
 
@@ -68,7 +72,7 @@ DEFAULT_FOAF_MAX_LEN = 6
 # _BUILD[k](first, hop, ids, j), for k up to DEFAULT_FOAF_MAX_LEN - 1: the
 # hop tuple of the cycle whose hops after `first` have the ids ids[j:j + k].
 # Written out per k, because a map() over the slice costs about twice as
-# much, and the run builds one per attempt.
+# much, and a gini-mode run builds one per attempt.
 _BUILD = (
     None,
     lambda f, h, r, j: (f, h[r[j]]),
@@ -78,6 +82,32 @@ _BUILD = (
     lambda f, h, r, j: (f, h[r[j]], h[r[j + 1]], h[r[j + 2]], h[r[j + 3]], h[r[j + 4]]),
 )
 
+# _CAP[k](mid, last, ids, j, floor), likewise: the cycle's cap, min(mid[d]
+# over its hops d after `first` but the last, last[d] of the last), when it
+# reaches `floor`, else False.  The last hop is tested first, then the
+# others in order, and the test stops at the first below `floor`: a band
+# run's cycles mostly fail at the sink or at the first middle hop, and the
+# min is taken only for the one cycle that passes.
+_CAP = (
+    None,
+    lambda m, t, r, j, f: t[r[j]] >= f and t[r[j]],
+    lambda m, t, r, j, f: t[r[j + 1]] >= f and m[r[j]] >= f and min(m[r[j]], t[r[j + 1]]),
+    lambda m, t, r, j, f: (
+        t[r[j + 2]] >= f and m[r[j]] >= f and m[r[j + 1]] >= f
+        and min(m[r[j]], m[r[j + 1]], t[r[j + 2]])
+    ),
+    lambda m, t, r, j, f: (
+        t[r[j + 3]] >= f and m[r[j]] >= f and m[r[j + 1]] >= f and m[r[j + 2]] >= f
+        and min(m[r[j]], m[r[j + 1]], m[r[j + 2]], t[r[j + 3]])
+    ),
+    lambda m, t, r, j, f: (
+        t[r[j + 4]] >= f and m[r[j]] >= f and m[r[j + 1]] >= f and m[r[j + 2]] >= f and m[r[j + 3]] >= f
+        and min(m[r[j]], m[r[j + 1]], m[r[j + 2]], m[r[j + 3]], t[r[j + 4]])
+    ),
+)
+
+_Row = tuple[int, int, array, Callable[..., Hops], Callable[..., int]]
+
 
 class CycleRows:
     """The cycles of one `enumerate_cycles` call: a read-only sequence of hop tuples.
@@ -85,9 +115,10 @@ class CycleRows:
     `rows` holds (stride, ids) per cycle length, shortest first: `ids` is
     a flat array that holds, for each cycle of stride + 1 hops, the ids of
     its hops after `first`, cycle after cycle.  `hop` is the graph's
-    `hop_table`.  `len`, integer indexing (negative too), iteration and
-    `==` against another `CycleRows` or a list of hop tuples behave as on
-    the list of the hop tuples; each access builds a new tuple.
+    `hop_table`.  `len` and integer indexing (negative too) behave as on
+    the list of the hop tuples, and so do iteration, `list` and `set`,
+    through indexing; each access builds a new tuple.  `first_reaching`
+    scans cycles by their hop ids without building any tuple.
     """
 
     __slots__ = ("_first", "_hop", "_rows", "_len")
@@ -95,39 +126,51 @@ class CycleRows:
     def __init__(self, first: tuple[int, int, int], hop: list[tuple[int, int, int]], rows: list[tuple[int, array]]):
         self._first = first
         self._hop = hop
-        # (index of the row's first cycle, stride, ids, builder), longest
+        # (index of the row's first cycle, stride, ids, builder, cap), longest
         # cycles first, so that an index finds its row from the top
-        self._rows: list[tuple[int, int, array, Callable[..., Hops]]] = []
+        self._rows: list[_Row] = []
         start = 0
         for stride, ids in rows:
-            self._rows.insert(0, (start, stride, ids, _BUILD[stride]))
+            self._rows.insert(0, (start, stride, ids, _BUILD[stride], _CAP[stride]))
             start += len(ids) // stride
         self._len = start
 
     def __len__(self) -> int:
         return self._len
 
+    def _locate(self, i: int) -> tuple[_Row, int]:
+        """The row of cycle i, 0 <= i < len, and the offset of its ids in the row."""
+        for row in self._rows:
+            if i >= row[0]:
+                return row, (i - row[0]) * row[1]
+        raise IndexError("cycle index out of range")
+
     def __getitem__(self, i: int) -> Hops:
         if i < 0:
             i += self._len
-        if 0 <= i < self._len:
-            for start, stride, ids, build in self._rows:
-                if i >= start:
-                    return build(self._first, self._hop, ids, (i - start) * stride)
-        raise IndexError("cycle index out of range")
+        if not 0 <= i < self._len:
+            raise IndexError("cycle index out of range")
+        (_, _, ids, build, _), j = self._locate(i)
+        return build(self._first, self._hop, ids, j)
 
-    def __iter__(self) -> Iterator[Hops]:
-        for _, stride, ids, build in reversed(self._rows):
-            for j in range(0, len(ids), stride):
-                yield build(self._first, self._hop, ids, j)
+    def first_reaching(
+        self, tries: Iterable[int], floor: int, mid: Sequence[int], last: Sequence[int]
+    ) -> tuple[int, int] | None:
+        """The first index in `tries` whose cycle's cap reaches `floor`, and that cap; None if none does.
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (CycleRows, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"CycleRows({list(self)!r})"
+        A cycle's cap is the least of `mid[d]` over its hops d after the
+        first but the last, and `last[d]` of its last hop, with `mid` and
+        `last` indexed by hop id.  The first hop is shared by every cycle
+        and is not read.  Each index in `tries` is in 0..len - 1, and
+        `floor` is at least 1.
+        """
+        locate = self._locate
+        for i in tries:
+            (_, _, ids, _, cap), j = locate(i)
+            amount = cap(mid, last, ids, j, floor)
+            if amount:
+                return i, amount
+        return None
 
 
 def enumerate_cycles(

@@ -147,6 +147,11 @@ class NetworkGraph:
                 self._hops += [(ch.node_a, ch.node_b, ch.cid), (ch.node_b, ch.node_a, ch.cid)]
         return self._hops
 
+    def hop_id(self, sender: int, cid: int) -> int:
+        """The id (see `hop_table`) of the hop `sender`, an endpoint of channel `cid`, sends on it."""
+        self.hop_table()
+        return self._hop_ids[cid] + (sender != self.channels[cid].node_a)
+
     def hops_by_neighbor(self, node: int) -> dict[int, list[int]]:
         """Neighbor -> ids (see `hop_table`) of the hops from `node` to it.
 
@@ -154,10 +159,9 @@ class NetworkGraph:
         """
         cached = self._nbr_hops.get(node)
         if cached is None:
-            self.hop_table()
             cached = {}
             for nb, cid in sorted((nb, cid) for cid, nb in self.incident(node)):
-                cached.setdefault(nb, []).append(self._hop_ids[cid] + (node != self.channels[cid].node_a))
+                cached.setdefault(nb, []).append(self.hop_id(node, cid))
             self._nbr_hops[node] = cached
         return cached
 

@@ -12,7 +12,9 @@ Each rule has one implementation: `candidate_channels`,
 `desired_amount`, `check_sink_condition` and `max_agreeable_amount`.
 The simulation loop `run_simulation`, its kernel `attempt_rebalance` and
 the unit tests call these same functions.  The exact comparison `_excess`
-(b * kappa - c * tau) is behind the first three and band agreement;
+(b * kappa - c * tau) is behind the first three and band agreement, and
+each floor or test on it has one home: `_desired`, `_receivable` and
+`_is_sink`, which the rules and the band run's hop-cap table share.
 `_check_executed` re-checks every executed operation with its own
 arithmetic.  The rules
 take a node's (tau, kappa) from `node_totals` as an argument, because
@@ -24,7 +26,16 @@ order, in `coefficients`, and the Gini of that vector in `ginis`.
 `attempt_rebalance` is the table's only writer and writes both.  The run
 also caches each (node, channel)'s cycle candidates, once enumerated, as a
 `CycleRows` of flat hop ids, and builds a candidate's hop tuple only when
-it attempts that candidate.
+it calls the kernel on that candidate.
+
+A band run decides its attempts from a second table, `HopCaps`: three
+ints per directed hop, by hop id, whose only writer is
+`HopCaps.refresh`, run once per channel at the start and on each
+payment's channels after it.  A visit scans its cycles' hop ids against
+the table and calls `attempt_rebalance` once, on the first cycle that
+executes; the kernel re-derives the amount from the balances, and a
+decline or another amount raises `InvariantViolation`.  A gini run
+builds no such table and calls the kernel on each cycle in turn.
 
 Routing fees are tracked in a hypothetical ledger only, a `Counter` of
 signed per-node msat that sums to zero: forwarding nodes are credited
@@ -42,7 +53,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .cycles import CycleRows, Hops, Strategy, enumerate_cycles
 from .model import (
@@ -145,13 +156,31 @@ def candidate_channels(g: NetworkGraph, u: int, totals: tuple[int, int]) -> list
     return [cid for cid, _ in g.incident(u) if _excess(g, u, cid, totals) > 0]
 
 
+def _desired(excess: int, kappa: int) -> int:
+    """floor(c * (zeta - nu)) clamped at 0, from a node's `_excess` on a channel and its kappa."""
+    return max(excess // kappa, 0)
+
+
+def _receivable(excess: int, kappa: int) -> int:
+    """floor(c * (nu - zeta)): what a node can receive on a channel before its coefficient reaches nu.
+
+    From the node's `_excess` there and its kappa; negative above nu.
+    """
+    return -excess // kappa
+
+
+def _is_sink(excess: int) -> bool:
+    """zeta < nu, from the node's `_excess`: a cycle may end on the channel."""
+    return excess < 0
+
+
 def desired_amount(g: NetworkGraph, u: int, cid: int, totals: tuple[int, int]) -> int:
     """floor(c * (zeta - nu)) for u on `cid`, clamped at 0; the proposed rebalance size.
 
     `totals` is u's (tau, kappa) from `node_totals`.  The result never
     exceeds u's balance on `cid`, since tau * c >= 0.
     """
-    return max(_excess(g, u, cid, totals) // totals[1], 0)
+    return _desired(_excess(g, u, cid, totals), totals[1])
 
 
 def _band_bound(
@@ -162,7 +191,7 @@ def _band_bound(
     That is x's desired amount on the out channel, capped by what the in
     channel can receive before its coefficient reaches nu_x.
     """
-    receivable = -_excess(g, x, in_cid, totals) // totals[1]
+    receivable = _receivable(_excess(g, x, in_cid, totals), totals[1])
     return max(min(requested, desired_amount(g, x, out_cid, totals), receivable), 0)
 
 
@@ -311,7 +340,74 @@ def check_sink_condition(g: NetworkGraph, u: int, last_cid: int, totals: tuple[i
 
     `totals` is u's (tau, kappa) from `node_totals`.
     """
-    return _excess(g, u, last_cid, totals) < 0
+    return _is_sink(_excess(g, u, last_cid, totals))
+
+
+class HopCaps:
+    """A band run's hop-cap table: three lists indexed by hop id (see `NetworkGraph.hop_table`).
+
+    For the hop d from x to y on channel c, `inn[d]` is what y can receive
+    on c before its coefficient reaches nu_y (`_receivable`), `mid[d]` is
+    min(x's desired amount on c, `inn[d]`), and `last[d]` is x's desired
+    amount if the cycle may end at y on c (`_is_sink`, always when the sink
+    condition is waived), else 0.  Each intermediary caps a band attempt
+    by its two balances only, and every capped amount is at least
+    `min_amount` or the attempt declines; so an attempt at `amount` moves
+    min(amount, inn of its first hop, mid of each middle hop, last of its
+    last hop) when that reaches `min_amount`, and declines otherwise.
+
+    `totals` maps every node to its (tau, kappa).  `refresh` is the
+    table's only writer: it fills every channel's two hops when the table
+    is made, and a payment's channels after it is made.  A payment moves
+    the balances of its own channels only, and no node's totals, so no
+    other entry changes.
+    """
+
+    __slots__ = ("inn", "mid", "last", "_totals", "_waived")
+
+    def __init__(self, g: NetworkGraph, totals: Mapping[int, tuple[int, int]], require_sink_condition: bool):
+        size = 2 * g.num_channels()
+        self.inn = [0] * size
+        self.mid = [0] * size
+        self.last = [0] * size
+        self._totals = totals
+        self._waived = not require_sink_condition
+        self.refresh(g, g.channels)
+
+    def refresh(self, g: NetworkGraph, cids: Iterable[int]) -> None:
+        """Rewrite both hops of each channel in `cids` from its balances, one `_excess` per endpoint."""
+        for cid in cids:
+            ch = g.channels[cid]
+            a, b = ch.node_a, ch.node_b
+            totals_a, totals_b = self._totals[a], self._totals[b]
+            excess_a = _excess(g, a, cid, totals_a)
+            excess_b = _excess(g, b, cid, totals_b)
+            d = g.hop_id(a, cid)
+            self._set(d, excess_a, totals_a[1], excess_b, totals_b[1])
+            self._set(d ^ 1, excess_b, totals_b[1], excess_a, totals_a[1])
+
+    def pick(
+        self, cycles: CycleRows, tries: Iterable[int], first: int, amount: int, floor: int
+    ) -> tuple[int, int] | None:
+        """The first index in `tries` whose band attempt at `amount` executes, and the amount it moves.
+
+        `first` is the hop id of the first hop, which every cycle of
+        `cycles` shares, and `floor` is `min_amount`.  None when no cycle
+        in `tries` executes.
+        """
+        amount = min(amount, self.inn[first])
+        if amount < floor:
+            return None
+        found = cycles.first_reaching(tries, floor, self.mid, self.last)
+        return None if found is None else (found[0], min(amount, found[1]))
+
+    def _set(self, d: int, sent: int, sender_kappa: int, received: int, receiver_kappa: int) -> None:
+        """`refresh`'s write of hop d, from its sender's and receiver's `_excess` on the channel."""
+        inn = _receivable(received, receiver_kappa)
+        desired = _desired(sent, sender_kappa)
+        self.inn[d] = inn
+        self.mid[d] = min(desired, inn)
+        self.last[d] = desired if self._waived or _is_sink(received) else 0
 
 
 def record_fees(ledger: FeeLedger, g: NetworkGraph, cycle: RebalanceCycle, amount: int) -> None:
@@ -358,6 +454,13 @@ def attempt_rebalance(
     against those, and both are written into the table.  Declines leave
     the state and the table untouched.  No fee is recorded here: the run
     tallies fees from its operations once it ends.
+
+    Band agreement reads the balances only (`_band_bound`) and gini
+    agreement the Gini table; both rewrite the Gini table after a
+    payment.  A band run calls the kernel only on the cycle its hop-cap
+    table (`HopCaps`) says executes, so each call re-checks the table's
+    prediction from the balances; the run, not the kernel, then
+    refreshes that table.
     """
     u = hops[0][0]
     if config.require_sink_condition and not check_sink_condition(g, u, hops[-1][2], totals[u]):
@@ -427,10 +530,23 @@ def run_simulation(
     its cycle candidates in seeded-shuffled order until one executes.  The
     candidates of a (node, channel) are enumerated at its first visit and
     cached for the run as a `CycleRows`; a visit shuffles their indices,
-    which draws as shuffling the candidates would, and builds the hop
-    tuple of each candidate only when it attempts it.  When the proposal
+    which draws as shuffling the candidates would.  When the proposal
     is below `min_amount`, no cycle is tried; the shuffle still runs, so
-    the random stream is the same.  A sweep starts, and a
+    the random stream is the same.
+
+    In gini mode the visit calls `attempt_rebalance` on each candidate in
+    that order, building its hop tuple then, until one executes.  In band
+    mode the run fills a `HopCaps` table at its start and reads each
+    candidate's outcome from it: the visit ends at once when the peer
+    cannot receive `min_amount` on the first hop, and otherwise scans the
+    candidates' hop ids (`CycleRows.first_reaching`) for the first one
+    that executes.  It calls `attempt_rebalance` on that one only, which
+    must move the predicted amount or the run raises `InvariantViolation`,
+    and then refreshes the table on the payment's channels, its only
+    write.  It executes the operations that calling the kernel on each
+    candidate in turn would.
+
+    A sweep starts, and a
     visit within it, only while fewer than `max_operations` have executed,
     and the run ends after a sweep that executes none.  Whenever the
     network imbalance first falls below a new 0.01 grid value, `sampler`
@@ -449,6 +565,7 @@ def run_simulation(
     coefficients = {u: node_coefficients(g, u) for u in nodes}
     ginis = {u: gini(coefficients[u]) for u in nodes}
     imbalance = mean_gini(ginis.values())
+    caps = HopCaps(g, totals, config.require_sink_condition) if config.agreement_mode == "band" else None
 
     def take_sample(ops_count: int) -> MetricsSample:
         return MetricsSample(ops_count, imbalance, sampler(g) if sampler is not None else None)
@@ -483,19 +600,33 @@ def run_simulation(
             amount = desired_amount(g, u, cid, totals[u]) // divisor
             if amount < config.min_amount:
                 continue
-            for i in tries:
-                executed = attempt_rebalance(g, cyc[i], amount, config, totals, ginis, coefficients)
-                if executed is None:
-                    continue
-                cycle, moved = executed
-                ops += 1
-                imbalance = mean_gini(ginis.values())
-                operations.append(OperationRecord(ops, u, cycle, moved, imbalance))
-                grid = math.floor(imbalance * 100 + 1e-9)
-                if grid < best_grid:
-                    best_grid = grid
-                    samples.append(take_sample(ops))
-                break
+            executed = None
+            if caps is None:
+                for i in tries:
+                    executed = attempt_rebalance(g, cyc[i], amount, config, totals, ginis, coefficients)
+                    if executed is not None:
+                        break
+            else:
+                picked = caps.pick(cyc, tries, g.hop_id(u, cid), amount, config.min_amount)
+                if picked is not None:
+                    i, predicted = picked
+                    executed = attempt_rebalance(g, cyc[i], amount, config, totals, ginis, coefficients)
+                    if executed is None or executed[1] != predicted:
+                        outcome = "declined" if executed is None else f"moved {executed[1]}"
+                        raise InvariantViolation(
+                            f"hop caps predicted {predicted} on cycle {cyc[i]}; the kernel {outcome}"
+                        )
+                    caps.refresh(g, executed[0].channel_ids)
+            if executed is None:
+                continue
+            cycle, moved = executed
+            ops += 1
+            imbalance = mean_gini(ginis.values())
+            operations.append(OperationRecord(ops, u, cycle, moved, imbalance))
+            grid = math.floor(imbalance * 100 + 1e-9)
+            if grid < best_grid:
+                best_grid = grid
+                samples.append(take_sample(ops))
         if ops == swept:
             break
     if samples[-1].ops_count != ops:

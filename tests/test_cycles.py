@@ -70,7 +70,7 @@ def assert_matches_ordered_oracle(g, initiator, cid, strategies):
     for strategy in strategies:
         for cap in ORACLE_CAPS:
             got = enumerate_cycles(g, initiator, cid, strategy, cap)
-            assert got == ordered_oracle(g, initiator, cid, strategy, cap), (strategy, cap)
+            assert list(got) == ordered_oracle(g, initiator, cid, strategy, cap), (strategy, cap)
 
 
 class TestTriangleAndCliques:
@@ -93,7 +93,7 @@ class TestTriangleAndCliques:
 
     def test_path_graph_has_no_cycles(self):
         g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 3, 10, 5)])
-        assert enumerate_cycles(g, 0, 0, Strategy.CYCLE5, cap=10) == []
+        assert list(enumerate_cycles(g, 0, 0, Strategy.CYCLE5, cap=10)) == []
 
     def test_parallel_channels_make_two_hop_cycles(self):
         g = make_graph([(0, 1, 10, 5), (0, 1, 10, 5)])
@@ -145,15 +145,15 @@ class TestTriangleAndCliques:
             ((0, 1, 2), (1, 3, 8), (3, 2, 3), (2, 0, 7)),
         ]
         for strategy in Strategy:
-            assert enumerate_cycles(g, 0, 2, strategy, cap=100) == expected, strategy
+            assert list(enumerate_cycles(g, 0, 2, strategy, cap=100)) == expected, strategy
             for cap in range(1, len(expected) + 1):
-                assert enumerate_cycles(g, 0, 2, strategy, cap=cap) == expected[:cap], (strategy, cap)
+                assert list(enumerate_cycles(g, 0, 2, strategy, cap=cap)) == expected[:cap], (strategy, cap)
 
     def test_deterministic_order(self):
         g = clique(5)
         a = enumerate_cycles(g, 0, 0, Strategy.CYCLE5, cap=50)
         b = enumerate_cycles(g, 0, 0, Strategy.CYCLE5, cap=50)
-        assert a == b
+        assert list(a) == list(b)
         lengths = [len(c) for c in a]
         assert lengths == sorted(lengths)
 
@@ -209,7 +209,7 @@ class TestBruteForceEquivalence:
             for k in sorted(boundaries):
                 for cap in (k - 1, k, k + 1):
                     if cap >= 1:
-                        assert enumerate_cycles(g, u, cid, strategy, cap) == full[:cap], (strategy, cap)
+                        assert list(enumerate_cycles(g, u, cid, strategy, cap)) == full[:cap], (strategy, cap)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
@@ -234,7 +234,7 @@ class TestBruteForceEquivalence:
         u = g.channels[cid].node_a
         foaf = enumerate_cycles(g, u, cid, Strategy.FOAF, cap=10_000)
         mpp = enumerate_cycles(g, u, cid, Strategy.MPP, cap=10_000)
-        assert foaf == mpp
+        assert list(foaf) == list(mpp)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
@@ -277,13 +277,14 @@ class TestCycleRows:
             empty[0]
 
     def test_equality(self):
+        # the sequences compare through their lists
         cycles, expected = self.cycles_and_list()
-        assert cycles == expected
-        assert cycles == enumerate_cycles(clique(5), 0, 0, Strategy.CYCLE5, cap=100)
-        assert cycles != expected[:-1]
-        assert cycles != expected[::-1]
-        assert cycles != enumerate_cycles(clique(5), 0, 0, Strategy.CYCLE5, cap=3)
-        assert enumerate_cycles(make_graph([(0, 1, 10, 5)]), 0, 0, Strategy.FOAF, cap=10) == []
+        assert list(cycles) == expected
+        assert list(cycles) == list(enumerate_cycles(clique(5), 0, 0, Strategy.CYCLE5, cap=100))
+        assert list(cycles) != expected[:-1]
+        assert list(cycles) != expected[::-1]
+        assert list(cycles) != list(enumerate_cycles(clique(5), 0, 0, Strategy.CYCLE5, cap=3))
+        assert list(enumerate_cycles(make_graph([(0, 1, 10, 5)]), 0, 0, Strategy.FOAF, cap=10)) == []
 
     def test_random_draws_match_the_list(self):
         # random.choice indexes by a draw on the length, and shuffling the
@@ -297,12 +298,36 @@ class TestCycleRows:
             random.Random(seed).shuffle(shuffled)
             assert [cycles[i] for i in order] == shuffled
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_first_reaching_matches_the_hop_tuples(self, seed):
+        # a cycle's cap, read from its hop tuple: mid of the middle hops, last of the last
+        rng = random.Random(seed)
+        g = random_graph(seed)
+        cid = rng.randrange(g.num_channels())
+        u = rng.choice((g.channels[cid].node_a, g.channels[cid].node_b))
+        cycles = enumerate_cycles(g, u, cid, rng.choice(list(Strategy)), 10_000)
+        size = 2 * g.num_channels()
+        mid = [rng.randint(-3, 9) for _ in range(size)]
+        last = [rng.randint(0, 9) for _ in range(size)]
+        tries = list(range(len(cycles)))
+        rng.shuffle(tries)
+        del tries[rng.randint(0, len(tries)):]
+        floor = rng.randint(1, 8)
+
+        def cap(hops):
+            ids = [g.hop_id(sender, c) for sender, _, c in hops[1:]]
+            return min([mid[d] for d in ids[:-1]] + [last[ids[-1]]])
+
+        expected = next(((i, cap(cycles[i])) for i in tries if cap(cycles[i]) >= floor), None)
+        assert cycles.first_reaching(tries, floor, mid, last) == expected
+
     def test_channel_ids_past_int32(self):
         # the arrays hold hop ids, which number the graph's channels from 0
         specs = [(a, b, 10, 5) for a in range(5) for b in range(a + 1, 5)]
         g = make_graph(specs, ids=[2**40 + 3 * i for i in range(len(specs))])
         for strategy in Strategy:
-            assert enumerate_cycles(g, 0, 2**40, strategy, cap=100) == ordered_oracle(g, 0, 2**40, strategy, 100)
+            assert list(enumerate_cycles(g, 0, 2**40, strategy, cap=100)) == ordered_oracle(g, 0, 2**40, strategy, 100)
 
     def test_cached_cycle_costs_under_48_bytes(self):
         # kept as flat hop ids, not as a tuple of hop tuples (about 140 B)

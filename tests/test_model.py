@@ -278,6 +278,7 @@ class TestGraphBasics:
             (0, 2, 7), (2, 0, 7),
         ]
         assert all(hop[d ^ 1] == (r, s, cid) for d, (s, r, cid) in enumerate(hop))
+        assert [g.hop_id(s, cid) for s, _, cid in hop] == list(range(len(hop)))
         # neighbors ascending, each list in channel-id order
         assert g.hops_by_neighbor(0) == {1: [5, 2], 2: [6]}
         assert g.hops_by_neighbor(1) == {0: [4, 3], 2: [1]}

@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -77,6 +80,11 @@ def gini_table(g):
 def table_of(g, x):
     """x's Gini-table entries, as `max_agreeable_amount` takes them."""
     return {"current_gini": node_gini(g, x), "coefficients": node_coefficients(g, x)}
+
+
+def synthetic(n_nodes, degree, seed):
+    """The largest SCC of a seeded `generate_synthetic` graph, funds split by a coin flip of the same seed."""
+    return largest_scc(allocate_funds_coinflip(generate_synthetic(n_nodes, degree, (10_000, 1_000_000), seed), seed))
 
 
 @st.composite
@@ -615,6 +623,52 @@ def test_post_condition_catches_faulty_execution(monkeypatch, specs, mode, targe
         attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), config(agreement_mode=mode), totals_of(g), *gini_table(g))
 
 
+def _decline_at_the_sink(check):
+    def faulty(g, u, last_cid, totals):
+        return False
+
+    return faulty
+
+
+def _cap_each_hop_at_4(bound):
+    def faulty(g, x, in_cid, out_cid, requested, totals):
+        return min(bound(g, x, in_cid, out_cid, requested, totals), 4)
+
+    return faulty
+
+
+@pytest.mark.parametrize(
+    "target, fault, outcome",
+    [
+        pytest.param("check_sink_condition", _decline_at_the_sink, "declined", id="declined"),
+        pytest.param("_band_bound", _cap_each_hop_at_4, "moved 4", id="other-amount"),
+    ],
+)
+def test_kernel_recheck_catches_a_wrong_prediction(monkeypatch, target, fault, outcome):
+    """A band run raises when the kernel does not move what the hop-cap table predicted."""
+    monkeypatch.setattr(rebalancer, target, fault(getattr(rebalancer, target)))
+    message = re.escape(f"hop caps predicted 5 on cycle {TRIANGLE_HOPS}; the kernel {outcome}")
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        run_simulation(skewed_triangle(), config())
+
+
+def test_kernel_recheck_catches_a_stale_table(monkeypatch):
+    """A table that no payment refreshes soon predicts an attempt the kernel does not make."""
+    refresh = rebalancer.HopCaps.refresh
+    calls = []
+
+    def fill_only(self, g, cids):
+        calls.append(cids)
+        if len(calls) == 1:
+            refresh(self, g, cids)
+
+    monkeypatch.setattr(rebalancer.HopCaps, "refresh", fill_only)
+    g = synthetic(60, 3, 9)
+    message = r"^hop caps predicted \d+ on cycle .+; the kernel (declined|moved \d+)$"
+    with pytest.raises(InvariantViolation, match=message):
+        run_simulation(g, config(seed=9, strategy=Strategy.FOAF))
+
+
 def test_fee_tally_catches_a_ledger_that_loses_zero_sum(monkeypatch):
     """The run's fee tally checks the ledger it built from the operations."""
     monkeypatch.setattr(rebalancer, "record_fees", _credit_without_debit(rebalancer.record_fees))
@@ -744,6 +798,83 @@ print(lnbalance.__version__, len(res.operations), model.network_imbalance(res.gr
         assert res.operations
         assert proc.stdout.split() == [lnbalance.__version__, str(len(res.operations)),
                                        repr(network_imbalance(res.graph))]
+
+
+class TestHopCaps:
+    """Band runs decide attempts from the hop-cap table; the kernel re-checks the one that executes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_nodes=st.integers(min_value=10, max_value=30),
+        degree=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+        strategy=st.sampled_from(list(Strategy)),
+        require_sink_condition=st.booleans(),
+        min_amount=st.sampled_from([1, 5000]),
+        mpp_divisor=st.integers(min_value=1, max_value=30),
+        warmup=st.sampled_from([0, 5, 40]),
+    )
+    def test_predictions_match_the_kernel(self, n_nodes, degree, seed, warmup, **knobs):
+        """Every cycle of a visit, in shuffled order: executes or not, and the amount, as the kernel says."""
+        g = synthetic(n_nodes, degree, seed)
+        assume(g.num_nodes() >= 2)
+        # a cap keeps foaf visits to a few hundred kernel calls
+        cfg = config(seed=seed, cycle_cap=200, **knobs)
+        # part-way through a run, so that payments have moved balances
+        run_simulation(g, dataclasses.replace(cfg, max_operations=warmup))
+        totals = totals_of(g)
+        caps = rebalancer.HopCaps(g, totals, cfg.require_sink_condition)
+        tables = gini_table(g)
+        divisor = cfg.mpp_divisor if cfg.strategy.splits_amount else 1
+        rng = random.Random(seed)
+        keys = [(u, cid) for u in g.nodes() for cid in candidate_channels(g, u, totals[u])]
+        for u, cid in rng.sample(keys, min(len(keys), 4)):
+            cycles = enumerate_cycles(g, u, cid, cfg.strategy, cfg.cycle_cap)
+            tries = list(range(len(cycles)))
+            rng.shuffle(tries)
+            amount = desired_amount(g, u, cid, totals[u]) // divisor
+            first = g.hop_id(u, cid)
+            executing = []
+            copies = None
+            for i in tries:
+                # a declined attempt leaves its copy as it was, so only a payment needs a new one
+                if copies is None:
+                    copies = copy.deepcopy((g, *tables))
+                executed = attempt_rebalance(copies[0], cycles[i], amount, cfg, totals, *copies[1:])
+                expected = None if executed is None else (i, executed[1])
+                assert caps.pick(cycles, [i], first, amount, cfg.min_amount) == expected
+                if expected is not None:
+                    executing.append(expected)
+                    copies = None
+            assert caps.pick(cycles, tries, first, amount, cfg.min_amount) == (executing[0] if executing else None)
+
+    @pytest.mark.parametrize("require_sink_condition", [True, False])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_table_equals_a_fresh_fill_after_every_payment(self, monkeypatch, strategy, require_sink_condition):
+        fill = rebalancer.HopCaps
+        refreshed = []
+
+        class Checked(fill):
+            __slots__ = ()
+
+            def refresh(self, g, cids):
+                super().refresh(g, cids)
+                fresh = fill(g, totals_of(g), require_sink_condition)
+                assert (self.inn, self.mid, self.last) == (fresh.inn, fresh.mid, fresh.last)
+                refreshed.append(list(cids))
+
+        monkeypatch.setattr(rebalancer, "HopCaps", Checked)
+        g = synthetic(60, 3, 9)
+        cfg = config(seed=9, strategy=strategy, require_sink_condition=require_sink_condition, max_operations=150)
+        res = run_simulation(g, cfg)
+        assert res.operations
+        # the fill, then each payment's channels
+        assert refreshed == [list(g.channels)] + [list(op.cycle.channel_ids) for op in res.operations]
+
+    def test_gini_runs_build_no_table(self, monkeypatch):
+        monkeypatch.setattr(rebalancer, "HopCaps", None)
+        g = synthetic(60, 3, 9)
+        assert run_simulation(g, config(seed=9, agreement_mode="gini", max_operations=20)).operations
 
 
 class TestSimulationConfig:
