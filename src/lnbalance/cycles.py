@@ -20,8 +20,9 @@ Indexing builds a candidate's hop tuple from the graph's hop table, so the
 run builds a tuple only for a cycle it hands to the attempt kernel.
 :meth:`CycleRows.first_reaching` reads the hop ids straight from the
 arrays, with no tuple at all: a band run scans a visit's cycles with it
-against per-hop caps kept by hop id, and builds the one tuple of the cycle
-that executes.  Both find a cycle's row by the same lookup.
+against two tables of per-hop caps kept by hop id, where a 0 stops every
+cycle that reads it, and builds the one tuple of the cycle that executes.
+Both find a cycle's row by the same lookup.
 
 Pruning.  The search is one depth-first walk that does only its hop
 limit's work:
@@ -58,10 +59,6 @@ class Strategy(Enum):
     MPP = "mpp"
 
     @property
-    def foaf_restricted(self) -> bool:
-        return self in (Strategy.FOAF, Strategy.MPP)
-
-    @property
     def splits_amount(self) -> bool:
         return self is Strategy.MPP
 
@@ -82,26 +79,26 @@ _BUILD = (
     lambda f, h, r, j: (f, h[r[j]], h[r[j + 1]], h[r[j + 2]], h[r[j + 3]], h[r[j + 4]]),
 )
 
-# _CAP[k](mid, last, ids, j, floor), likewise: the cycle's cap, min(mid[d]
-# over its hops d after `first` but the last, last[d] of the last), when it
-# reaches `floor`, else False.  The last hop is tested first, then the
-# others in order, and the test stops at the first below `floor`: a band
-# run's cycles mostly fail at the sink or at the first middle hop, and the
-# min is taken only for the one cycle that passes.
+# _CAP[k](mid, last, ids, j), likewise: the cycle's cap, min(mid[d] over
+# its hops d after `first` but the last, last[d] of the last), when none of
+# those entries is 0, else 0.  The last hop is tested first, then the
+# others in order, and the test stops at the first 0: a band run's cycles
+# mostly fail at the sink or at the first middle hop, and the min is taken
+# only for the one cycle that passes.
 _CAP = (
     None,
-    lambda m, t, r, j, f: t[r[j]] >= f and t[r[j]],
-    lambda m, t, r, j, f: t[r[j + 1]] >= f and m[r[j]] >= f and min(m[r[j]], t[r[j + 1]]),
-    lambda m, t, r, j, f: (
-        t[r[j + 2]] >= f and m[r[j]] >= f and m[r[j + 1]] >= f
+    lambda m, t, r, j: t[r[j]],
+    lambda m, t, r, j: t[r[j + 1]] and m[r[j]] and min(m[r[j]], t[r[j + 1]]),
+    lambda m, t, r, j: (
+        t[r[j + 2]] and m[r[j]] and m[r[j + 1]]
         and min(m[r[j]], m[r[j + 1]], t[r[j + 2]])
     ),
-    lambda m, t, r, j, f: (
-        t[r[j + 3]] >= f and m[r[j]] >= f and m[r[j + 1]] >= f and m[r[j + 2]] >= f
+    lambda m, t, r, j: (
+        t[r[j + 3]] and m[r[j]] and m[r[j + 1]] and m[r[j + 2]]
         and min(m[r[j]], m[r[j + 1]], m[r[j + 2]], t[r[j + 3]])
     ),
-    lambda m, t, r, j, f: (
-        t[r[j + 4]] >= f and m[r[j]] >= f and m[r[j + 1]] >= f and m[r[j + 2]] >= f and m[r[j + 3]] >= f
+    lambda m, t, r, j: (
+        t[r[j + 4]] and m[r[j]] and m[r[j + 1]] and m[r[j + 2]] and m[r[j + 3]]
         and min(m[r[j]], m[r[j + 1]], m[r[j + 2]], m[r[j + 3]], t[r[j + 4]])
     ),
 )
@@ -153,21 +150,19 @@ class CycleRows:
         (_, _, ids, build, _), j = self._locate(i)
         return build(self._first, self._hop, ids, j)
 
-    def first_reaching(
-        self, tries: Iterable[int], floor: int, mid: Sequence[int], last: Sequence[int]
-    ) -> tuple[int, int] | None:
-        """The first index in `tries` whose cycle's cap reaches `floor`, and that cap; None if none does.
+    def first_reaching(self, tries: Iterable[int], mid: Sequence[int], last: Sequence[int]) -> tuple[int, int] | None:
+        """The first index in `tries` whose cycle reads no 0, and its cap; None if there is none.
 
-        A cycle's cap is the least of `mid[d]` over its hops d after the
-        first but the last, and `last[d]` of its last hop, with `mid` and
-        `last` indexed by hop id.  The first hop is shared by every cycle
-        and is not read.  Each index in `tries` is in 0..len - 1, and
-        `floor` is at least 1.
+        A cycle reads `mid[d]` of each of its hops d after the first but
+        the last, and `last[d]` of its last hop, with `mid` and `last`
+        indexed by hop id; its cap is the least of those entries.  The
+        first hop is shared by every cycle and is not read.  Each index in
+        `tries` is in 0..len - 1.
         """
         locate = self._locate
         for i in tries:
             (_, _, ids, _, cap), j = locate(i)
-            amount = cap(mid, last, ids, j, floor)
+            amount = cap(mid, last, ids, j)
             if amount:
                 return i, amount
         return None

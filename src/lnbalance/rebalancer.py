@@ -28,12 +28,12 @@ also caches each (node, channel)'s cycle candidates, once enumerated, as a
 `CycleRows` of flat hop ids, and builds a candidate's hop tuple only when
 it calls the kernel on that candidate.
 
-A band run decides its attempts from a second table, `HopCaps`: three
-ints per directed hop, by hop id, whose only writer is
-`HopCaps.refresh`, run once per channel at the start and on each
-payment's channels after it.  A visit scans its cycles' hop ids against
-the table and calls `attempt_rebalance` once, on the first cycle that
-executes; the kernel re-derives the amount from the balances, and a
+A band run decides its attempts from a second table, `HopCaps`: two
+ints per directed hop, by hop id, each 0 below `min_amount`, whose only
+writer is `HopCaps.refresh`, run once per channel at the start and on
+each payment's channels after it.  A visit scans its cycles' hop ids
+against the table and calls `attempt_rebalance` once, on the first cycle
+that executes; the kernel re-derives the amount from the balances, and a
 decline or another amount raises `InvariantViolation`.  A gini run
 builds no such table and calls the kernel on each cycle in turn.
 
@@ -344,34 +344,36 @@ def check_sink_condition(g: NetworkGraph, u: int, last_cid: int, totals: tuple[i
 
 
 class HopCaps:
-    """A band run's hop-cap table: three lists indexed by hop id (see `NetworkGraph.hop_table`).
+    """A band run's hop-cap table: two lists indexed by hop id (see `NetworkGraph.hop_table`).
 
-    For the hop d from x to y on channel c, `inn[d]` is what y can receive
-    on c before its coefficient reaches nu_y (`_receivable`), `mid[d]` is
-    min(x's desired amount on c, `inn[d]`), and `last[d]` is x's desired
-    amount if the cycle may end at y on c (`_is_sink`, always when the sink
-    condition is waived), else 0.  Each intermediary caps a band attempt
-    by its two balances only, and every capped amount is at least
-    `min_amount` or the attempt declines; so an attempt at `amount` moves
-    min(amount, inn of its first hop, mid of each middle hop, last of its
-    last hop) when that reaches `min_amount`, and declines otherwise.
+    For the hop d from x to y on channel c, `mid[d]` is min(x's desired
+    amount on c, what y can receive on c before its coefficient reaches
+    nu_y), and `last[d]` is x's desired amount if the cycle may end at y
+    on c (`_is_sink`, always when the sink condition is waived), else 0.
+    Each entry below `min_amount` is stored as 0.  Each intermediary caps a
+    band attempt by its two balances only, and every capped amount is at
+    least `min_amount` or the attempt declines; so an attempt at an
+    `amount` of at least `min_amount` and at most its initiator's desired
+    amount moves min(amount, mid of its first and each middle hop, last of
+    its last hop) when none of those is 0, and declines otherwise.
 
-    `totals` maps every node to its (tau, kappa).  `refresh` is the
-    table's only writer: it fills every channel's two hops when the table
-    is made, and a payment's channels after it is made.  A payment moves
-    the balances of its own channels only, and no node's totals, so no
-    other entry changes.
+    `totals` maps every node to its (tau, kappa), and `config` gives the
+    run's sink condition and `min_amount`.  `refresh` is the table's only
+    writer: it fills every channel's two hops when the table is made, and
+    a payment's channels after it is made.  A payment moves the balances
+    of its own channels only, and no node's totals, so no other entry
+    changes.
     """
 
-    __slots__ = ("inn", "mid", "last", "_totals", "_waived")
+    __slots__ = ("mid", "last", "_totals", "_waived", "_floor")
 
-    def __init__(self, g: NetworkGraph, totals: Mapping[int, tuple[int, int]], require_sink_condition: bool):
+    def __init__(self, g: NetworkGraph, totals: Mapping[int, tuple[int, int]], config: SimulationConfig):
         size = 2 * g.num_channels()
-        self.inn = [0] * size
         self.mid = [0] * size
         self.last = [0] * size
         self._totals = totals
-        self._waived = not require_sink_condition
+        self._waived = not config.require_sink_condition
+        self._floor = config.min_amount
         self.refresh(g, g.channels)
 
     def refresh(self, g: NetworkGraph, cids: Iterable[int]) -> None:
@@ -386,28 +388,15 @@ class HopCaps:
             self._set(d, excess_a, totals_a[1], excess_b, totals_b[1])
             self._set(d ^ 1, excess_b, totals_b[1], excess_a, totals_a[1])
 
-    def pick(
-        self, cycles: CycleRows, tries: Iterable[int], first: int, amount: int, floor: int
-    ) -> tuple[int, int] | None:
-        """The first index in `tries` whose band attempt at `amount` executes, and the amount it moves.
-
-        `first` is the hop id of the first hop, which every cycle of
-        `cycles` shares, and `floor` is `min_amount`.  None when no cycle
-        in `tries` executes.
-        """
-        amount = min(amount, self.inn[first])
-        if amount < floor:
-            return None
-        found = cycles.first_reaching(tries, floor, self.mid, self.last)
-        return None if found is None else (found[0], min(amount, found[1]))
-
     def _set(self, d: int, sent: int, sender_kappa: int, received: int, receiver_kappa: int) -> None:
-        """`refresh`'s write of hop d, from its sender's and receiver's `_excess` on the channel."""
-        inn = _receivable(received, receiver_kappa)
+        """`refresh`'s write of hop d, from its sender's and receiver's `_excess` on the channel.
+
+        The table's one floor: an entry below `min_amount` is stored as 0.
+        """
         desired = _desired(sent, sender_kappa)
-        self.inn[d] = inn
-        self.mid[d] = min(desired, inn)
-        self.last[d] = desired if self._waived or _is_sink(received) else 0
+        mid = min(desired, _receivable(received, receiver_kappa))
+        self.mid[d] = mid if mid >= self._floor else 0
+        self.last[d] = desired if desired >= self._floor and (self._waived or _is_sink(received)) else 0
 
 
 def record_fees(ledger: FeeLedger, g: NetworkGraph, cycle: RebalanceCycle, amount: int) -> None:
@@ -537,13 +526,13 @@ def run_simulation(
     In gini mode the visit calls `attempt_rebalance` on each candidate in
     that order, building its hop tuple then, until one executes.  In band
     mode the run fills a `HopCaps` table at its start and reads each
-    candidate's outcome from it: the visit ends at once when the peer
-    cannot receive `min_amount` on the first hop, and otherwise scans the
-    candidates' hop ids (`CycleRows.first_reaching`) for the first one
-    that executes.  It calls `attempt_rebalance` on that one only, which
-    must move the predicted amount or the run raises `InvariantViolation`,
-    and then refreshes the table on the payment's channels, its only
-    write.  It executes the operations that calling the kernel on each
+    candidate's outcome from it: the visit ends at once when the table's
+    `mid` entry of the first hop is 0, and otherwise scans the candidates'
+    hop ids (`CycleRows.first_reaching`) for the first one that reads no 0
+    in the table, which is the first that executes.  It calls
+    `attempt_rebalance` on that one only, which must move the predicted
+    amount or the run raises `InvariantViolation`, and then refreshes the
+    table on the payment's channels, its only write.  It executes the operations that calling the kernel on each
     candidate in turn would.
 
     A sweep starts, and a
@@ -565,7 +554,7 @@ def run_simulation(
     coefficients = {u: node_coefficients(g, u) for u in nodes}
     ginis = {u: gini(coefficients[u]) for u in nodes}
     imbalance = mean_gini(ginis.values())
-    caps = HopCaps(g, totals, config.require_sink_condition) if config.agreement_mode == "band" else None
+    caps = HopCaps(g, totals, config) if config.agreement_mode == "band" else None
 
     def take_sample(ops_count: int) -> MetricsSample:
         return MetricsSample(ops_count, imbalance, sampler(g) if sampler is not None else None)
@@ -607,9 +596,11 @@ def run_simulation(
                     if executed is not None:
                         break
             else:
-                picked = caps.pick(cyc, tries, g.hop_id(u, cid), amount, config.min_amount)
-                if picked is not None:
-                    i, predicted = picked
+                # the proposal never exceeds u's desired amount, so mid caps the first hop
+                capped = min(amount, caps.mid[g.hop_id(u, cid)])
+                found = cyc.first_reaching(tries, caps.mid, caps.last) if capped else None
+                if found is not None:
+                    i, predicted = found[0], min(capped, found[1])
                     executed = attempt_rebalance(g, cyc[i], amount, config, totals, ginis, coefficients)
                     if executed is None or executed[1] != predicted:
                         outcome = "declined" if executed is None else f"moved {executed[1]}"

@@ -57,7 +57,7 @@ ORACLE_CAPS = (1, 2, 3, 7, 10_000)
 
 def ordered_oracle(g, initiator, cid, strategy, cap):
     """The exhaustive cycles sorted shortest first, then by (receiver, channel) per hop, cut at `cap`."""
-    if strategy.foaf_restricted:
+    if strategy in (Strategy.FOAF, Strategy.MPP):
         allowed = foaf_node_set(g, initiator)
         found = {c for c in brute_force_cycles(g, initiator, cid, 6) if all(s in allowed for s, _, _ in c)}
     else:
@@ -301,26 +301,27 @@ class TestCycleRows:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
     def test_first_reaching_matches_the_hop_tuples(self, seed):
-        # a cycle's cap, read from its hop tuple: mid of the middle hops, last of the last
+        # the entries a cycle reads, from its hop tuple: mid of the middle hops, last of the last
         rng = random.Random(seed)
         g = random_graph(seed)
         cid = rng.randrange(g.num_channels())
         u = rng.choice((g.channels[cid].node_a, g.channels[cid].node_b))
         cycles = enumerate_cycles(g, u, cid, rng.choice(list(Strategy)), 10_000)
         size = 2 * g.num_channels()
-        mid = [rng.randint(-3, 9) for _ in range(size)]
-        last = [rng.randint(0, 9) for _ in range(size)]
+        # entries are 0, which stops a cycle, or 1..9, each draw with its own share of zeros
+        zeros = rng.random()
+        mid = [0 if rng.random() < zeros else rng.randint(1, 9) for _ in range(size)]
+        last = [0 if rng.random() < zeros else rng.randint(1, 9) for _ in range(size)]
         tries = list(range(len(cycles)))
         rng.shuffle(tries)
         del tries[rng.randint(0, len(tries)):]
-        floor = rng.randint(1, 8)
 
-        def cap(hops):
+        def entries(hops):
             ids = [g.hop_id(sender, c) for sender, _, c in hops[1:]]
-            return min([mid[d] for d in ids[:-1]] + [last[ids[-1]]])
+            return [mid[d] for d in ids[:-1]] + [last[ids[-1]]]
 
-        expected = next(((i, cap(cycles[i])) for i in tries if cap(cycles[i]) >= floor), None)
-        assert cycles.first_reaching(tries, floor, mid, last) == expected
+        expected = next(((i, min(entries(cycles[i]))) for i in tries if all(entries(cycles[i]))), None)
+        assert cycles.first_reaching(tries, mid, last) == expected
 
     def test_channel_ids_past_int32(self):
         # the arrays hold hop ids, which number the graph's channels from 0

@@ -823,10 +823,17 @@ class TestHopCaps:
         # part-way through a run, so that payments have moved balances
         run_simulation(g, dataclasses.replace(cfg, max_operations=warmup))
         totals = totals_of(g)
-        caps = rebalancer.HopCaps(g, totals, cfg.require_sink_condition)
+        caps = rebalancer.HopCaps(g, totals, cfg)
         tables = gini_table(g)
         divisor = cfg.mpp_divisor if cfg.strategy.splits_amount else 1
         rng = random.Random(seed)
+
+        def predict(cycles, tries, first, amount):
+            """As the run predicts a visit: the first hop's `mid` caps the proposal, then the scan."""
+            capped = min(amount, caps.mid[first]) if amount >= cfg.min_amount else 0
+            found = cycles.first_reaching(tries, caps.mid, caps.last) if capped else None
+            return None if found is None else (found[0], min(capped, found[1]))
+
         keys = [(u, cid) for u in g.nodes() for cid in candidate_channels(g, u, totals[u])]
         for u, cid in rng.sample(keys, min(len(keys), 4)):
             cycles = enumerate_cycles(g, u, cid, cfg.strategy, cfg.cycle_cap)
@@ -842,30 +849,34 @@ class TestHopCaps:
                     copies = copy.deepcopy((g, *tables))
                 executed = attempt_rebalance(copies[0], cycles[i], amount, cfg, totals, *copies[1:])
                 expected = None if executed is None else (i, executed[1])
-                assert caps.pick(cycles, [i], first, amount, cfg.min_amount) == expected
+                assert predict(cycles, [i], first, amount) == expected
                 if expected is not None:
                     executing.append(expected)
                     copies = None
-            assert caps.pick(cycles, tries, first, amount, cfg.min_amount) == (executing[0] if executing else None)
+            assert predict(cycles, tries, first, amount) == (executing[0] if executing else None)
 
+    @pytest.mark.parametrize("min_amount", [1, 5000])
     @pytest.mark.parametrize("require_sink_condition", [True, False])
     @pytest.mark.parametrize("strategy", list(Strategy))
-    def test_table_equals_a_fresh_fill_after_every_payment(self, monkeypatch, strategy, require_sink_condition):
+    def test_table_equals_a_fresh_fill_after_every_payment(self, monkeypatch, strategy, require_sink_condition,
+                                                            min_amount):
         fill = rebalancer.HopCaps
         refreshed = []
+        cfg = config(seed=9, strategy=strategy, require_sink_condition=require_sink_condition,
+                     min_amount=min_amount, max_operations=150)
 
         class Checked(fill):
             __slots__ = ()
 
             def refresh(self, g, cids):
                 super().refresh(g, cids)
-                fresh = fill(g, totals_of(g), require_sink_condition)
-                assert (self.inn, self.mid, self.last) == (fresh.inn, fresh.mid, fresh.last)
+                fresh = fill(g, totals_of(g), cfg)
+                assert (self.mid, self.last) == (fresh.mid, fresh.last)
+                assert all(entry == 0 or entry >= min_amount for entry in self.mid + self.last)
                 refreshed.append(list(cids))
 
         monkeypatch.setattr(rebalancer, "HopCaps", Checked)
         g = synthetic(60, 3, 9)
-        cfg = config(seed=9, strategy=strategy, require_sink_condition=require_sink_condition, max_operations=150)
         res = run_simulation(g, cfg)
         assert res.operations
         # the fill, then each payment's channels
