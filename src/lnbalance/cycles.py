@@ -19,9 +19,9 @@ for each cycle of L hops, the ids of its L - 1 hops after the first (see
 Indexing builds a candidate's hop tuple from the graph's hop table, so the
 run builds a tuple only for a cycle it hands to the attempt kernel.
 :meth:`CycleRows.first_reaching` reads the hop ids straight from the
-arrays, with no tuple at all: a band run scans a visit's cycles with it
+arrays, with no tuple at all: a run scans a visit's cycles with it
 against two tables of per-hop caps kept by hop id, where a 0 stops every
-cycle that reads it, and builds the one tuple of the cycle that executes.
+cycle that reads it, and builds a tuple only for a cycle that reads none.
 Both find a cycle's row by the same lookup.
 
 Pruning.  The search is one depth-first walk that does only its hop
@@ -69,7 +69,7 @@ DEFAULT_FOAF_MAX_LEN = 6
 # _BUILD[k](first, hop, ids, j), for k up to DEFAULT_FOAF_MAX_LEN - 1: the
 # hop tuple of the cycle whose hops after `first` have the ids ids[j:j + k].
 # Written out per k, because a map() over the slice costs about twice as
-# much, and a gini-mode run builds one per attempt.
+# much, and a gini-mode run builds one per kernel call.
 _BUILD = (
     None,
     lambda f, h, r, j: (f, h[r[j]]),

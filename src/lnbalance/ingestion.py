@@ -22,7 +22,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -272,8 +272,9 @@ def largest_scc(g: NetworkGraph) -> NetworkGraph:
     The digraph has an arc u->v iff u can push value toward v (positive
     balance on some shared channel).  Ties between equally sized
     components go to the one containing the smallest node id.  Channels
-    with both endpoints inside the component are retained; nodes left
-    without channels are dropped.
+    with both endpoints inside the component are retained, as new
+    `Channel` objects, so the result shares no balance with `g`; nodes
+    left without channels are dropped.
     """
     nodes = g.nodes()
     if not nodes:
@@ -281,8 +282,14 @@ def largest_scc(g: NetworkGraph) -> NetworkGraph:
     sccs = _sccs(nodes, liquidity_arcs(g))
     best = max(sccs, key=lambda comp: (len(comp), -min(comp)))
     keep = set(best)
-    channels = [ch for ch in g.channels.values() if ch.node_a in keep and ch.node_b in keep]
-    return NetworkGraph((replace(ch) for ch in channels), labels=g.labels)
+    # a positional call: `dataclasses.replace` introspects every field per copy
+    copies = (
+        Channel(ch.cid, ch.node_a, ch.node_b, ch.capacity, ch.balance_a, ch.balance_b,
+                ch.base_fee_msat, ch.fee_rate_ppm)
+        for ch in g.channels.values()
+        if ch.node_a in keep and ch.node_b in keep
+    )
+    return NetworkGraph(copies, labels=g.labels)
 
 
 def generate_synthetic(

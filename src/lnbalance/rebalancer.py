@@ -14,7 +14,7 @@ The simulation loop `run_simulation`, its kernel `attempt_rebalance` and
 the unit tests call these same functions.  The exact comparison `_excess`
 (b * kappa - c * tau) is behind the first three and band agreement, and
 each floor or test on it has one home: `_desired`, `_receivable` and
-`_is_sink`, which the rules and the band run's hop-cap table share.
+`_is_sink`, which the rules and the run's hop-cap table share.
 `_check_executed` re-checks every executed operation with its own
 arithmetic.  The rules
 take a node's (tau, kappa) from `node_totals` as an argument, because
@@ -28,14 +28,16 @@ also caches each (node, channel)'s cycle candidates, once enumerated, as a
 `CycleRows` of flat hop ids, and builds a candidate's hop tuple only when
 it calls the kernel on that candidate.
 
-A band run decides its attempts from a second table, `HopCaps`: two
-ints per directed hop, by hop id, each 0 below `min_amount`, whose only
-writer is `HopCaps.refresh`, run once per channel at the start and on
-each payment's channels after it.  A visit scans its cycles' hop ids
-against the table and calls `attempt_rebalance` once, on the first cycle
-that executes; the kernel re-derives the amount from the balances, and a
-decline or another amount raises `InvariantViolation`.  A gini run
-builds no such table and calls the kernel on each cycle in turn.
+Every run also keeps a second table, `HopCaps`: two ints per directed
+hop, by hop id, each 0 below `min_amount`, whose only writer is
+`HopCaps.refresh`, run once per channel at the start and on each
+payment's channels after it.  A visit scans its cycles' hop ids against
+the table and calls `attempt_rebalance` only on cycles that read no 0
+there, since a 0 is a certain decline in either agreement mode.  In band
+mode the table decides: the first such cycle executes, at the amount the
+table predicts, or the run raises `InvariantViolation`.  In gini mode the
+kernel decides, and the scan goes on after a decline; a payment larger
+than the table allows raises `InvariantViolation`.
 
 Routing fees are tracked in a hypothetical ledger only, a `Counter` of
 signed per-node msat that sums to zero: forwarding nodes are credited
@@ -344,28 +346,44 @@ def check_sink_condition(g: NetworkGraph, u: int, last_cid: int, totals: tuple[i
 
 
 class HopCaps:
-    """A band run's hop-cap table: two lists indexed by hop id (see `NetworkGraph.hop_table`).
+    """A run's hop-cap table: two lists indexed by hop id (see `NetworkGraph.hop_table`).
 
-    For the hop d from x to y on channel c, `mid[d]` is min(x's desired
-    amount on c, what y can receive on c before its coefficient reaches
-    nu_y), and `last[d]` is x's desired amount if the cycle may end at y
-    on c (`_is_sink`, always when the sink condition is waived), else 0.
-    Each entry below `min_amount` is stored as 0.  Each intermediary caps a
-    band attempt by its two balances only, and every capped amount is at
-    least `min_amount` or the attempt declines; so an attempt at an
-    `amount` of at least `min_amount` and at most its initiator's desired
-    amount moves min(amount, mid of its first and each middle hop, last of
-    its last hop) when none of those is 0, and declines otherwise.
+    Each entry bounds what any attempt can move over one hop, and each
+    entry below `min_amount` is stored as 0; a cycle reads `mid` of its
+    first and each middle hop and `last` of its last hop.  For the hop d
+    from x to y on channel c, in band mode:
+
+    - `mid[d]` is min(x's desired amount on c, what y can receive on c
+      before its coefficient reaches nu_y), and `last[d]` is x's desired
+      amount if the cycle may end at y on c (`_is_sink`, always when the
+      sink condition is waived), else 0.
+    - Each intermediary caps a band attempt by its two balances only, and
+      every capped amount is at least `min_amount` or the attempt
+      declines; so an attempt at an `amount` of at least `min_amount` and
+      at most its initiator's desired amount moves min(amount, the entries
+      it reads) when none of those is 0, and declines otherwise.
+
+    In gini mode:
+
+    - `mid[d]` is x's balance on c, and `last[d]` is the same where the
+      cycle may end at y on c, else 0.
+    - `_gini_bound` never returns more than min(requested, b_out,
+      c_in - b_in).  b_out is the intermediary's balance on its out-hop,
+      which it sends, and c_in - b_in the balance of its in-hop's sender.
+      Every hop of a cycle is the in-hop or out-hop of some intermediary,
+      so an attempt moves at most the least entry it reads, and a 0 there
+      is a certain decline.  An attempt that reads no 0 may still
+      decline.
 
     `totals` maps every node to its (tau, kappa), and `config` gives the
-    run's sink condition and `min_amount`.  `refresh` is the table's only
-    writer: it fills every channel's two hops when the table is made, and
-    a payment's channels after it is made.  A payment moves the balances
-    of its own channels only, and no node's totals, so no other entry
-    changes.
+    run's agreement mode, sink condition and `min_amount`.  `refresh` is
+    the table's only writer: it fills every channel's two hops when the
+    table is made, and a payment's channels after it is made.  A payment
+    moves the balances of its own channels only, and no node's totals, so
+    no other entry changes.
     """
 
-    __slots__ = ("mid", "last", "_totals", "_waived", "_floor")
+    __slots__ = ("mid", "last", "_totals", "_waived", "_floor", "_band")
 
     def __init__(self, g: NetworkGraph, totals: Mapping[int, tuple[int, int]], config: SimulationConfig):
         size = 2 * g.num_channels()
@@ -374,6 +392,7 @@ class HopCaps:
         self._totals = totals
         self._waived = not config.require_sink_condition
         self._floor = config.min_amount
+        self._band = config.agreement_mode == "band"
         self.refresh(g, g.channels)
 
     def refresh(self, g: NetworkGraph, cids: Iterable[int]) -> None:
@@ -385,18 +404,21 @@ class HopCaps:
             excess_a = _excess(g, a, cid, totals_a)
             excess_b = _excess(g, b, cid, totals_b)
             d = g.hop_id(a, cid)
-            self._set(d, excess_a, totals_a[1], excess_b, totals_b[1])
-            self._set(d ^ 1, excess_b, totals_b[1], excess_a, totals_a[1])
+            self._set(d, ch.balance_a, excess_a, totals_a[1], excess_b, totals_b[1])
+            self._set(d ^ 1, ch.balance_b, excess_b, totals_b[1], excess_a, totals_a[1])
 
-    def _set(self, d: int, sent: int, sender_kappa: int, received: int, receiver_kappa: int) -> None:
-        """`refresh`'s write of hop d, from its sender's and receiver's `_excess` on the channel.
+    def _set(self, d: int, balance: int, sent: int, sender_kappa: int, received: int, receiver_kappa: int) -> None:
+        """`refresh`'s write of hop d, from its sender's balance and both endpoints' `_excess` on the channel.
 
         The table's one floor: an entry below `min_amount` is stored as 0.
         """
-        desired = _desired(sent, sender_kappa)
-        mid = min(desired, _receivable(received, receiver_kappa))
+        if self._band:
+            cap = _desired(sent, sender_kappa)
+            mid = min(cap, _receivable(received, receiver_kappa))
+        else:
+            cap = mid = balance
         self.mid[d] = mid if mid >= self._floor else 0
-        self.last[d] = desired if desired >= self._floor and (self._waived or _is_sink(received)) else 0
+        self.last[d] = cap if cap >= self._floor and (self._waived or _is_sink(received)) else 0
 
 
 def record_fees(ledger: FeeLedger, g: NetworkGraph, cycle: RebalanceCycle, amount: int) -> None:
@@ -438,17 +460,18 @@ def attempt_rebalance(
     amount never exceeds u's balance on the first hop, because the first
     intermediary can receive no more.  Only then is the `RebalanceCycle`
     built (a malformed one raises `ValueError`) and the payment applied
-    atomically.  Each cycle node's coefficient vector is then rebuilt
-    from its balances and its Gini taken from it; the payment is checked
-    against those, and both are written into the table.  Declines leave
-    the state and the table untouched.  No fee is recorded here: the run
-    tallies fees from its operations once it ends.
+    atomically.  Each cycle node's coefficient vector is then copied from
+    the table, and its two entries of the cycle's channels, the only ones
+    the payment moved, are rewritten as balance / capacity, the floats
+    `node_coefficients` makes; its Gini is taken from the new vector.
+    The payment is checked against those, and both are written into the
+    table.  Declines leave the state and the table untouched.  No fee is
+    recorded here: the run tallies fees from its operations once it ends.
 
     Band agreement reads the balances only (`_band_bound`) and gini
     agreement the Gini table; both rewrite the Gini table after a
-    payment.  A band run calls the kernel only on the cycle its hop-cap
-    table (`HopCaps`) says executes, so each call re-checks the table's
-    prediction from the balances; the run, not the kernel, then
+    payment.  The run calls the kernel only on cycles whose hop-cap table
+    (`HopCaps`) entries are all nonzero; the run, not the kernel, then
     refreshes that table.
     """
     u = hops[0][0]
@@ -462,7 +485,13 @@ def attempt_rebalance(
             return None
     cycle = RebalanceCycle(u, hops)
     apply_circular_payment(g, cycle, amount)
-    vectors = {x: node_coefficients(g, x) for x in cycle.nodes}
+    # each cycle node sends on one cycle channel and receives on another, and
+    # the payment moves no other coefficient of it
+    vectors = {x: coefficients[x].copy() for x in cycle.nodes}
+    for sender, receiver, cid in hops:
+        ch = g.channels[cid]
+        vectors[sender][g.incident_positions(sender)[cid]] = ch.balance(sender) / ch.capacity
+        vectors[receiver][g.incident_positions(receiver)[cid]] = ch.balance(receiver) / ch.capacity
     after = {x: gini(vector) for x, vector in vectors.items()}
     _check_executed(g, hops, totals, config.agreement_mode, ginis, after)
     ginis.update(after)
@@ -523,26 +552,30 @@ def run_simulation(
     is below `min_amount`, no cycle is tried; the shuffle still runs, so
     the random stream is the same.
 
-    In gini mode the visit calls `attempt_rebalance` on each candidate in
-    that order, building its hop tuple then, until one executes.  In band
-    mode the run fills a `HopCaps` table at its start and reads each
-    candidate's outcome from it: the visit ends at once when the table's
-    `mid` entry of the first hop is 0, and otherwise scans the candidates'
-    hop ids (`CycleRows.first_reaching`) for the first one that reads no 0
-    in the table, which is the first that executes.  It calls
-    `attempt_rebalance` on that one only, which must move the predicted
-    amount or the run raises `InvariantViolation`, and then refreshes the
-    table on the payment's channels, its only write.  It executes the operations that calling the kernel on each
+    Every run fills a `HopCaps` table at its start, and each visit reads
+    its candidates through it in one loop.  The visit ends at once when
+    the table's `mid` entry of the first hop is 0.  Otherwise it scans
+    the candidates' hop ids in order (`CycleRows.first_reaching`) for the
+    next one that reads no 0 in the table, and calls `attempt_rebalance`
+    on it.  In band mode that candidate is the first that executes, and
+    the kernel must move the predicted amount, or the run raises
+    `InvariantViolation`.  In gini mode the kernel may decline, and the
+    scan then goes on from the next candidate; a payment must move at
+    most the table's bound, or the run raises `InvariantViolation`.
+    After a payment the run refreshes the table on the payment's
+    channels, its only write.  The candidates it skips would all
+    decline, and a decline draws no random number and writes no state,
+    so it executes the operations that calling the kernel on each
     candidate in turn would.
 
-    A sweep starts, and a
-    visit within it, only while fewer than `max_operations` have executed,
-    and the run ends after a sweep that executes none.  Whenever the
-    network imbalance first falls below a new 0.01 grid value, `sampler`
-    is called once on the graph and a sample stores what it returns, as
-    is.  After the last sweep the fees of every operation, in order, go
-    into the run's one `FeeLedger`, which must sum to zero.  Mutates `g`
-    in place and is fully deterministic in (g, config).
+    A sweep starts, and a visit within it, only while fewer than
+    `max_operations` have executed, and the run ends after a sweep that
+    executes none.  Whenever the network imbalance first falls below a new
+    0.01 grid value, `sampler` is called once on the graph and a sample
+    stores what it returns, as is.  After the last sweep the fees of every
+    operation, in order, go into the run's one `FeeLedger`, which must sum
+    to zero.  Mutates `g` in place and is fully deterministic in (g,
+    config).
     """
     rng = random.Random(config.seed)
     nodes = g.nodes()
@@ -554,7 +587,8 @@ def run_simulation(
     coefficients = {u: node_coefficients(g, u) for u in nodes}
     ginis = {u: gini(coefficients[u]) for u in nodes}
     imbalance = mean_gini(ginis.values())
-    caps = HopCaps(g, totals, config) if config.agreement_mode == "band" else None
+    caps = HopCaps(g, totals, config)
+    band = config.agreement_mode == "band"
 
     def take_sample(ops_count: int) -> MetricsSample:
         return MetricsSample(ops_count, imbalance, sampler(g) if sampler is not None else None)
@@ -589,27 +623,26 @@ def run_simulation(
             amount = desired_amount(g, u, cid, totals[u]) // divisor
             if amount < config.min_amount:
                 continue
+            # the first hop's entry caps every cycle of the visit
+            capped = min(amount, caps.mid[g.hop_id(u, cid)])
+            if not capped:
+                continue
             executed = None
-            if caps is None:
-                for i in tries:
-                    executed = attempt_rebalance(g, cyc[i], amount, config, totals, ginis, coefficients)
-                    if executed is not None:
-                        break
-            else:
-                # the proposal never exceeds u's desired amount, so mid caps the first hop
-                capped = min(amount, caps.mid[g.hop_id(u, cid)])
-                found = cyc.first_reaching(tries, caps.mid, caps.last) if capped else None
-                if found is not None:
-                    i, predicted = found[0], min(capped, found[1])
-                    executed = attempt_rebalance(g, cyc[i], amount, config, totals, ginis, coefficients)
-                    if executed is None or executed[1] != predicted:
-                        outcome = "declined" if executed is None else f"moved {executed[1]}"
-                        raise InvariantViolation(
-                            f"hop caps predicted {predicted} on cycle {cyc[i]}; the kernel {outcome}"
-                        )
-                    caps.refresh(g, executed[0].channel_ids)
+            # after a gini decline the scan goes on from the next index
+            pending = iter(tries)
+            while executed is None and (found := cyc.first_reaching(pending, caps.mid, caps.last)) is not None:
+                i, bound = found[0], min(capped, found[1])
+                executed = attempt_rebalance(g, cyc[i], amount, config, totals, ginis, coefficients)
+                if band and (executed is None or executed[1] != bound):
+                    outcome = "declined" if executed is None else f"moved {executed[1]}"
+                    raise InvariantViolation(f"hop caps predicted {bound} on cycle {cyc[i]}; the kernel {outcome}")
+                if executed is not None and executed[1] > bound:
+                    raise InvariantViolation(
+                        f"hop caps bound {bound} on cycle {cyc[i]}; the kernel moved {executed[1]}"
+                    )
             if executed is None:
                 continue
+            caps.refresh(g, executed[0].channel_ids)
             cycle, moved = executed
             ops += 1
             imbalance = mean_gini(ginis.values())

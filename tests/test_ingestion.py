@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import deque
 
@@ -272,6 +273,22 @@ class TestLargestScc:
         twice = largest_scc(once)
         assert twice.nodes() == once.nodes()
         assert sorted(twice.channels) == sorted(once.channels)
+
+    def test_channels_are_copies(self):
+        # a fee schedule off the defaults, so that every field must be carried over
+        records = [rec("a", "b", 10, 7, 3), rec("b", "c", 20, 0, 5), rec("c", "a", 30), rec("a", "d", 40)]
+        g = allocate_funds_coinflip(records, seed=0)
+        for ch in g.channels.values():
+            ch.balance_a, ch.balance_b = ch.capacity, 0
+        before = {cid: dataclasses.astuple(ch) for cid, ch in g.channels.items()}
+        scc = largest_scc(g)
+        assert {cid: dataclasses.astuple(ch) for cid, ch in scc.channels.items()} == {
+            cid: before[cid] for cid in scc.channels
+        }
+        for cid, ch in scc.channels.items():
+            assert ch is not g.channels[cid]
+            ch.balance_a, ch.balance_b = 0, ch.capacity
+        assert {cid: dataclasses.astuple(ch) for cid, ch in g.channels.items()} == before
 
     def test_keeps_interior_channels(self):
         # triangle plus a dangling one-way spur; spur is dropped, triangle kept

@@ -547,6 +547,32 @@ class TestAttemptRebalance:
         assert start[3] > 0
         assert all(ginis[u] is start[u] and coefficients[u] is kept[u] for u in (3, 4))
 
+    @pytest.mark.parametrize("mode", ["band", "gini"])
+    def test_gini_table_equals_a_fresh_fill_after_every_payment(self, monkeypatch, mode):
+        """The kernel rewrites two entries per cycle node; parallel channels, with ids out of
+        insertion order, put a node's entries where neither its neighbours nor its hop ids say."""
+        base = synthetic(40, 3, 5)
+        rng = random.Random(5)
+        specs = [(ch.node_a, ch.node_b, ch.capacity, ch.balance_a) for ch in base.channels.values()]
+        specs += [(a, b, cap, rng.randint(0, cap)) for a, b, cap, _ in specs[::2]]
+        ids = rng.sample(range(len(specs)), len(specs))
+        parallel = set(ids[base.num_channels():])
+        g = make_graph(specs, ids)
+        attempt = rebalancer.attempt_rebalance
+        paid = []
+
+        def checked_attempt(g, hops, amount, config, totals, ginis, coefficients):
+            executed = attempt(g, hops, amount, config, totals, ginis, coefficients)
+            if executed is not None:
+                assert (ginis, coefficients) == gini_table(g)
+                paid.append(executed[0].channel_ids)
+            return executed
+
+        monkeypatch.setattr(rebalancer, "attempt_rebalance", checked_attempt)
+        res = run_simulation(g, config(seed=5, strategy=Strategy.CYCLE5, agreement_mode=mode, max_operations=100))
+        assert len(paid) == len(res.operations) > 0
+        assert any(parallel.intersection(cids) for cids in paid)
+
     def test_malformed_hops_rejected_before_any_mutation(self):
         # a figure eight through initiator 0: every rule agrees to 5, but
         # the initiator reappears mid-cycle, which RebalanceCycle rejects
@@ -650,6 +676,20 @@ def test_kernel_recheck_catches_a_wrong_prediction(monkeypatch, target, fault, o
     message = re.escape(f"hop caps predicted 5 on cycle {TRIANGLE_HOPS}; the kernel {outcome}")
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
         run_simulation(skewed_triangle(), config())
+
+
+def test_kernel_recheck_catches_a_gini_payment_above_the_table(monkeypatch):
+    """A gini run raises when the kernel moves more than the hop-cap table allows."""
+    write = rebalancer.HopCaps._set
+
+    def capped_at_1(self, d, *args):
+        write(self, d, *args)
+        self.mid[d] = min(self.mid[d], 1)
+
+    monkeypatch.setattr(rebalancer.HopCaps, "_set", capped_at_1)
+    message = re.escape(f"hop caps bound 1 on cycle {TRIANGLE_HOPS}; the kernel moved 5")
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        run_simulation(skewed_triangle(), config(agreement_mode="gini"))
 
 
 def test_kernel_recheck_catches_a_stale_table(monkeypatch):
@@ -800,20 +840,24 @@ print(lnbalance.__version__, len(res.operations), model.network_imbalance(res.gr
                                        repr(network_imbalance(res.graph))]
 
 
+# runs part-way (`warmup` operations) on small seeded graphs, whose visits a test then replays
+visits = given(
+    n_nodes=st.integers(min_value=10, max_value=30),
+    degree=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+    strategy=st.sampled_from(list(Strategy)),
+    require_sink_condition=st.booleans(),
+    min_amount=st.sampled_from([1, 5000]),
+    mpp_divisor=st.integers(min_value=1, max_value=30),
+    warmup=st.sampled_from([0, 5, 40]),
+)
+
+
 class TestHopCaps:
-    """Band runs decide attempts from the hop-cap table; the kernel re-checks the one that executes."""
+    """Runs skip the cycles whose hop-cap table entries hold a 0; a band run's table also predicts the payment."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        n_nodes=st.integers(min_value=10, max_value=30),
-        degree=st.integers(min_value=2, max_value=4),
-        seed=st.integers(min_value=0, max_value=2**16),
-        strategy=st.sampled_from(list(Strategy)),
-        require_sink_condition=st.booleans(),
-        min_amount=st.sampled_from([1, 5000]),
-        mpp_divisor=st.integers(min_value=1, max_value=30),
-        warmup=st.sampled_from([0, 5, 40]),
-    )
+    @visits
     def test_predictions_match_the_kernel(self, n_nodes, degree, seed, warmup, **knobs):
         """Every cycle of a visit, in shuffled order: executes or not, and the amount, as the kernel says."""
         g = synthetic(n_nodes, degree, seed)
@@ -855,15 +899,16 @@ class TestHopCaps:
                     copies = None
             assert predict(cycles, tries, first, amount) == (executing[0] if executing else None)
 
+    @pytest.mark.parametrize("agreement_mode", ["band", "gini"])
     @pytest.mark.parametrize("min_amount", [1, 5000])
     @pytest.mark.parametrize("require_sink_condition", [True, False])
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_table_equals_a_fresh_fill_after_every_payment(self, monkeypatch, strategy, require_sink_condition,
-                                                            min_amount):
+                                                            min_amount, agreement_mode):
         fill = rebalancer.HopCaps
         refreshed = []
         cfg = config(seed=9, strategy=strategy, require_sink_condition=require_sink_condition,
-                     min_amount=min_amount, max_operations=150)
+                     min_amount=min_amount, agreement_mode=agreement_mode, max_operations=150)
 
         class Checked(fill):
             __slots__ = ()
@@ -882,10 +927,50 @@ class TestHopCaps:
         # the fill, then each payment's channels
         assert refreshed == [list(g.channels)] + [list(op.cycle.channel_ids) for op in res.operations]
 
-    def test_gini_runs_build_no_table(self, monkeypatch):
-        monkeypatch.setattr(rebalancer, "HopCaps", None)
-        g = synthetic(60, 3, 9)
-        assert run_simulation(g, config(seed=9, agreement_mode="gini", max_operations=20)).operations
+    @settings(max_examples=60, deadline=None)
+    @visits
+    def test_gini_table_skips_only_declines(self, n_nodes, degree, seed, warmup, **knobs):
+        """Every cycle of a visit, in shuffled order: a 0 in a gini run's table is a decline, and a payment
+        moves at most what the table allows; the run's scan reaches the first cycle that executes."""
+        g = synthetic(n_nodes, degree, seed)
+        assume(g.num_nodes() >= 2)
+        cfg = config(seed=seed, cycle_cap=200, agreement_mode="gini", **knobs)
+        run_simulation(g, dataclasses.replace(cfg, max_operations=warmup))
+        totals = totals_of(g)
+        caps = rebalancer.HopCaps(g, totals, cfg)
+        tables = gini_table(g)
+        divisor = cfg.mpp_divisor if cfg.strategy.splits_amount else 1
+        rng = random.Random(seed)
+        keys = [(u, cid) for u in g.nodes() for cid in candidate_channels(g, u, totals[u])]
+        for u, cid in rng.sample(keys, min(len(keys), 4)):
+            cycles = enumerate_cycles(g, u, cid, cfg.strategy, cfg.cycle_cap)
+            tries = list(range(len(cycles)))
+            rng.shuffle(tries)
+            amount = desired_amount(g, u, cid, totals[u]) // divisor
+            capped = min(amount, caps.mid[g.hop_id(u, cid)]) if amount >= cfg.min_amount else 0
+            executes = set()
+            copies = None
+            for i in tries:
+                if copies is None:
+                    copies = copy.deepcopy((g, *tables))
+                executed = attempt_rebalance(copies[0], cycles[i], amount, cfg, totals, *copies[1:])
+                found = cycles.first_reaching([i], caps.mid, caps.last) if capped else None
+                if found is None:
+                    assert executed is None
+                elif executed is not None:
+                    assert executed[1] <= min(capped, found[1])
+                    executes.add(i)
+                    copies = None
+            # as the run scans: from where the last decline left off, up to the first payment
+            pending = iter(tries)
+            reached = None
+            while capped and reached is None:
+                found = cycles.first_reaching(pending, caps.mid, caps.last)
+                if found is None:
+                    break
+                if found[0] in executes:
+                    reached = found[0]
+            assert reached == next((i for i in tries if i in executes), None)
 
 
 class TestSimulationConfig:
