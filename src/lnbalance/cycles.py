@@ -15,7 +15,11 @@ when it executes.
 Storage.  :func:`enumerate_cycles` returns a :class:`CycleRows`, which
 keeps no object per candidate.  One flat ``array`` per cycle length holds,
 for each cycle of L hops, the ids of its L - 1 hops after the first (see
-:meth:`~lnbalance.model.NetworkGraph.hop_table`), cycle after cycle.
+:meth:`~lnbalance.model.NetworkGraph.hop_table`), cycle after cycle.  The
+ids take 2 bytes each (typecode ``"H"``) when the graph has at most 65,536
+directed hops, that is at most 32,768 channels, and 4 bytes (``"i"``)
+above that; the choice reads only the graph's size, and every reader sees
+the same ints either way.
 Indexing builds a candidate's hop tuple from the graph's hop table, so the
 run builds a tuple only for a cycle it hands to the attempt kernel.
 :meth:`CycleRows.first_reaching` reads the hop ids straight from the
@@ -35,10 +39,12 @@ limit's work:
   foaf set.  ``cycle4`` takes no such step, so it builds no ball.
 - A cycle closes at a node by a lookup in the initiator's hops grouped by
   neighbour.  A last step comes from intersecting the node's neighbours
-  with the initiator's (iterating the smaller side), and the step and its
-  closing hop are written together without descending.
+  with the initiator's (iterating the smaller side), leaving out the peer,
+  which is on every path; the step and its closing hop are written
+  together without descending.
 
-Each (node, hops left) lists its steps once per call.
+Each node lists its steps once per call: below the peer, the steps into
+the ball are the same whatever the hops left.
 """
 
 from __future__ import annotations
@@ -111,7 +117,9 @@ class CycleRows:
 
     `rows` holds (stride, ids) per cycle length, shortest first: `ids` is
     a flat array that holds, for each cycle of stride + 1 hops, the ids of
-    its hops after `first`, cycle after cycle.  `hop` is the graph's
+    its hops after `first`, cycle after cycle: 2-byte ids (typecode "H")
+    when `hop` has at most 65,536 entries, 4-byte ids ("i") above that.
+    Both read back as the same ints.  `hop` is the graph's
     `hop_table`.  `len` and integer indexing (negative too) behave as on
     the list of the hop tuples, and so do iteration, `list` and `set`,
     through indexing; each access builds a new tuple.  `first_reaching`
@@ -189,9 +197,9 @@ def enumerate_cycles(
     cycle that ends at the node it steps to, then goes deeper; deeper
     cycles are longer, so each length's array stays in order.  It steps
     only to nodes that can still close in the hops left (see the module
-    docstring), and those steps are listed once per (node, hops left)
-    and call.  At the last node before the initiator it writes the last
-    steps without descending.
+    docstring), and those steps are listed once per node and call.  At
+    the last node before the initiator it writes the last steps without
+    descending.
     """
     if cap < 1:
         raise ValueError("cycle cap must be at least 1")
@@ -206,28 +214,31 @@ def enumerate_cycles(
         ball.update(around)
         for nb in around:
             ball.update(g.hops_by_neighbor(nb))
+    # 2-byte hop ids whenever every hop id fits in them
+    typecode = "H" if len(hop) <= 1 << 16 else "i"
     # rows[n]: the cycles of n hops, n - 1 hop ids each, up to full[n] ids
-    rows = [array("i") for _ in range(max_len + 1)]
+    rows = [array(typecode) for _ in range(max_len + 1)]
     full = [cap * (n - 1) for n in range(max_len + 1)]
     # two-hop cycles close at the peer over a parallel channel
     rows[2].extend(d ^ 1 for d in around[v] if hop[d][2] != cid)
-    path = array("i")  # hop ids after the first hop
+    path = array(typecode)  # hop ids after the first hop
     on_path = {initiator, v}
-    # steps_at[budget][node]: (next node, hop id) for each step from `node`
-    # that can still close within `budget` further hops
-    steps_at: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(max_len - 1)]
-    steps_at[max_len - 2][v] = [(nb, d) for nb, out in g.hops_by_neighbor(v).items() for d in out]
-    # last_at[node]: (next node, hop id, closing hop id) for each last step
+    # steps_at[node]: (next node, hop id) for each step from `node` that can
+    # still close: every step from the peer, and from any other node the
+    # steps into the ball, whatever the hops left
+    steps_at: dict[int, list[tuple[int, int]]] = {v: [(nb, d) for nb, out in g.hops_by_neighbor(v).items() for d in out]}
+    # last_at[node]: (next node, hop id, closing hop id) for each last step;
+    # none returns to the peer
     last_at: dict[int, list[tuple[int, int, int]]] = {}
 
     def extend(current: int, budget: int) -> None:
         # steps from `current`, with `budget` >= 2 hops left after each; a
         # cycle closed at the next node has n hops
         n = max_len - budget + 1
-        steps = steps_at[budget].get(current)
+        steps = steps_at.get(current)
         if steps is None:
             steps = [(nb, d) for nb, out in g.hops_by_neighbor(current).items() if nb in ball for d in out]
-            steps_at[budget][current] = steps
+            steps_at[current] = steps
         row = rows[n]
         last_row = rows[n + 1]
         for nb, d in steps:
@@ -250,7 +261,13 @@ def enumerate_cycles(
                 if last is None:
                     out = g.hops_by_neighbor(nb)
                     small, large = (around, out) if len(around) < len(out) else (out, around)
-                    last = [(nb2, d2, c ^ 1) for nb2 in small if nb2 in large for d2 in out[nb2] for c in around[nb2]]
+                    last = [
+                        (nb2, d2, c ^ 1)
+                        for nb2 in small
+                        if nb2 in large and nb2 != v
+                        for d2 in out[nb2]
+                        for c in around[nb2]
+                    ]
                     last_at[nb] = last
                 for nb2, d2, c in last:
                     if nb2 not in on_path:

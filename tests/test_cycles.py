@@ -330,8 +330,20 @@ class TestCycleRows:
         for strategy in Strategy:
             assert list(enumerate_cycles(g, 0, 2**40, strategy, cap=100)) == ordered_oracle(g, 0, 2**40, strategy, 100)
 
-    def test_cached_cycle_costs_under_48_bytes(self):
-        # kept as flat hop ids, not as a tuple of hop tuples (about 140 B)
+    @pytest.mark.parametrize("channels", [32_768, 32_769])
+    def test_hop_ids_either_side_of_two_bytes(self, channels):
+        # a five-clique takes the last channel ids, so its hop ids reach
+        # 65,535 (rows of 2-byte ids) or pass it (rows of 4-byte ids); the
+        # padding path before it does not touch the clique
+        edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+        pad = channels - len(edges)
+        g = make_graph([(10 + i, 11 + i, 10, 5) for i in range(pad)] + [(a, b, 10, 5) for a, b in edges])
+        assert len(g.hop_table()) == 2 * channels
+        assert_matches_ordered_oracle(g, 0, pad, Strategy)
+        assert_matches_ordered_oracle(g, 4, channels - 1, Strategy)
+
+    def test_cached_cycle_costs_under_16_bytes(self):
+        # kept as flat 2-byte hop ids, not as a tuple of hop tuples (about 140 B)
         g = largest_scc(allocate_funds_coinflip(generate_synthetic(100, 3, (10_000, 1_000_000), 5), 5))
         keys = [(u, cid) for u in g.nodes()[::7] for cid, _ in g.incident(u)]
         for u, cid in keys:
@@ -346,4 +358,4 @@ class TestCycleRows:
             tracemalloc.stop()
         count = sum(len(cycles) for cycles in kept)
         assert count > 10_000
-        assert grown / count < 48
+        assert grown / count < 16
