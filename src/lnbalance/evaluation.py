@@ -46,12 +46,13 @@ class EvaluationReport:
     pairs from each of a seeded sample of sources to every other node;
     `sampled_pairs` is then their number.  `success_rate_se` is the
     standard error of a sampled `success_rate`, and None for a full
-    evaluation or a sample of one source.
+    evaluation or a sample of one source.  `payment_size_cdf` is None
+    when the evaluation was asked not to build it.
     """
 
     success_rate: float
     median_payment_sat: int
-    payment_size_cdf: list[tuple[int, float]]
+    payment_size_cdf: list[tuple[int, float]] | None
     amount_sat: int = 1
     sampled_pairs: int | None = None
     success_rate_se: float | None = None
@@ -248,6 +249,7 @@ def evaluate_network(
     sample_pairs: int | None = None,
     seed: int = 0,
     routes: RouteCache | None = None,
+    cdf: bool = True,
 ) -> EvaluationReport:
     """Payment ability of one snapshot, over all ordered pairs by default.
 
@@ -260,7 +262,9 @@ def evaluate_network(
     the same `routes` to every evaluation of one graph and source list so
     its cheapest-path trees are built once; it must be a cache of `g` and
     of the sources this call draws, all nodes for a full evaluation.  By
-    default a fresh cache is made for this call alone.
+    default a fresh cache is made for this call alone.  With `cdf` False
+    the report's `payment_size_cdf` is None and is not built; success
+    rate and median are the same either way.
     """
     if amount < 1:
         raise ValueError("amount must be at least 1 satoshi")
@@ -293,7 +297,7 @@ def evaluate_network(
     return EvaluationReport(
         success_rate=(ordered.size - int(blocked)) / ordered.size,
         median_payment_sat=ordered[(ordered.size - 1) // 2].item(),
-        payment_size_cdf=cdf_points(ordered),
+        payment_size_cdf=cdf_points(ordered) if cdf else None,
         amount_sat=amount,
         sampled_pairs=sampled,
         success_rate_se=se,

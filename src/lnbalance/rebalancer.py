@@ -13,8 +13,9 @@ Each rule has one implementation: `candidate_channels`,
 The simulation loop `run_simulation`, its kernel `attempt_rebalance` and
 the unit tests call these same functions.  The exact comparison `_excess`
 (b * kappa - c * tau) is behind the first three and band agreement, and
-each floor or test on it has one home: `_desired`, `_receivable` and
-`_is_sink`, which the rules and the run's hop-cap table share.
+each floor or test on it has one home: `_is_candidate`, `_desired`,
+`_receivable` and `_is_sink`, which the rules and the run's hop-cap
+table share.
 `_check_executed` re-checks every executed operation with its own
 arithmetic.  The rules
 take a node's (tau, kappa) from `node_totals` as an argument, because
@@ -29,15 +30,26 @@ also caches each (node, channel)'s cycle candidates, once enumerated, as a
 it calls the kernel on that candidate.
 
 Every run also keeps a second table, `HopCaps`: two ints per directed
-hop, by hop id, each 0 below `min_amount`, whose only writer is
-`HopCaps.refresh`, run once per channel at the start and on each
-payment's channels after it.  A visit scans its cycles' hop ids against
-the table and calls `attempt_rebalance` only on cycles that read no 0
-there, since a 0 is a certain decline in either agreement mode.  In band
+hop, by hop id, each 0 below `min_amount`, and each node's candidate
+channels, whose only writer is `HopCaps.refresh`, run once per channel
+at the start and on each payment's channels after it.  A visit draws its
+channel from the table's candidate list, so `candidate_channels` runs
+only in the tests, as the rule the table must equal.  A visit scans its
+cycles' hop ids against the table and calls `attempt_rebalance` only on
+cycles that read no 0 there, since a 0 is a certain decline in either
+agreement mode.  In band
 mode the table decides: the first such cycle executes, at the amount the
 table predicts, or the run raises `InvariantViolation`.  In gini mode the
 kernel decides, and the scan goes on after a decline; a payment larger
 than the table allows raises `InvariantViolation`.
+
+Gini agreement is a float test, `gini(shifted vector) <= before`.  From
+capacities of about 10^14 sat, one satoshi moves a coefficient by less
+than the float Gini resolves, and the test is no longer monotone in the
+amount: a node can pass at an amount and fail below it.  So once a gini
+attempt settles on its amount, each intermediary that granted more is
+asked again at that amount, and the attempt declines if one grants less.
+Band bounds are exact integer intervals and need no second ask.
 
 Routing fees are tracked in a hypothetical ledger only, a `Counter` of
 signed per-node msat that sums to zero: forwarding nodes are credited
@@ -155,7 +167,12 @@ def candidate_channels(g: NetworkGraph, u: int, totals: tuple[int, int]) -> list
 
     `totals` is u's (tau, kappa) from `node_totals`.
     """
-    return [cid for cid, _ in g.incident(u) if _excess(g, u, cid, totals) > 0]
+    return [cid for cid, _ in g.incident(u) if _is_candidate(_excess(g, u, cid, totals))]
+
+
+def _is_candidate(excess: int) -> bool:
+    """zeta > nu, from the node's `_excess`: the node may propose a rebalance on the channel."""
+    return excess > 0
 
 
 def _desired(excess: int, kappa: int) -> int:
@@ -218,12 +235,23 @@ def _gini_bound(
     The float root only seeds the answer.  x's coefficient vector is
     copied from `coefficients`, x's Gini-table entry in `incident` order,
     so its `gini` is `before` and no probe writes into the table; the
-    float test `gini(vector shifted by a) <= before` decides.  Steps that
-    double away from the root's floor find an amount that passes it and
-    one that fails it, and bisection between them ends at an a that
-    passes while a + 1 fails (or is `bound`, which failed).  Where the
-    test is monotone in a, that a is the largest passing amount; either
-    way a call makes O(log bound) probes.
+    float test `gini(vector shifted by a) <= before` decides.  The first
+    probe is at `bound`, and a pass there is the answer.  The second is
+    at 1 sat, and a fail there is a decline, settled after two probes and
+    before any sort.  Only a call that passes at 1 builds the sorted
+    others and solves for the root.  Steps that double away from the
+    root's floor, 1 counting as a known pass and `bound` as a known fail,
+    find an amount that passes and one that fails, and bisection between
+    them ends at an a that passes while a + 1 fails (or is `bound`).  No
+    amount is probed twice.
+
+    Where the test is monotone in a, the answer is the largest passing
+    amount, as a plain bisection over [0, bound] finds it.  From
+    capacities of about 10^14 sat it need not be: a call may return 0
+    where some larger amount passes, or an a whose test passes while
+    a + 1 fails though a larger amount passes too.  Either way a call
+    makes O(log bound) probes, and `attempt_rebalance` asks a node again
+    at the amount the attempt settles on.
     """
     out_ch = g.channel(out_cid)
     in_ch = g.channel(in_cid)
@@ -247,6 +275,9 @@ def _gini_bound(
 
     if feasible(bound):
         return bound
+    # most calls that fail at the bound decline outright; 1 sat settles them
+    if bound == 1 or not feasible(1):
+        return 0
     first, last = sorted((i_out, i_in))
     others = sorted(coefficients[:first] + coefficients[first + 1:last] + coefficients[last + 1:])
     m = len(others)
@@ -282,15 +313,15 @@ def _gini_bound(
         if a_next >= a:
             break
         a = a_next
-    lo = min(max(math.floor(a), 0), bound - 1)
+    lo = min(max(math.floor(a), 1), bound - 1)
     # step away from the root's floor, doubling, until a passing lo and a
-    # failing hi bracket the answer; 0 counts as passing and `bound` failed
+    # failing hi bracket the answer; 1 passed and `bound` failed
     step = 1
-    if lo > 0 and not feasible(lo):
+    if lo > 1 and not feasible(lo):
         lo, hi = lo - 1, lo
-        while lo > 0 and not feasible(lo):
+        while lo > 1 and not feasible(lo):
             step *= 2
-            lo, hi = max(lo - step, 0), lo
+            lo, hi = max(lo - step, 1), lo
     else:
         hi = lo + 1
         while hi < bound and feasible(hi):
@@ -346,7 +377,7 @@ def check_sink_condition(g: NetworkGraph, u: int, last_cid: int, totals: tuple[i
 
 
 class HopCaps:
-    """A run's hop-cap table: two lists indexed by hop id (see `NetworkGraph.hop_table`).
+    """A run's hop-cap table: two lists indexed by hop id (see `NetworkGraph.hop_table`), and candidates.
 
     Each entry bounds what any attempt can move over one hop, and each
     entry below `min_amount` is stored as 0; a cycle reads `mid` of its
@@ -375,20 +406,26 @@ class HopCaps:
       is a certain decline.  An attempt that reads no 0 may still
       decline.
 
+    `candidates[u]` is u's candidate channels in id order, as
+    `candidate_channels` gives them: the channels where `_is_candidate`
+    holds for u's `_excess`, which `refresh` already computes for both
+    endpoints of each channel it writes.
+
     `totals` maps every node to its (tau, kappa), and `config` gives the
     run's agreement mode, sink condition and `min_amount`.  `refresh` is
-    the table's only writer: it fills every channel's two hops when the
-    table is made, and a payment's channels after it is made.  A payment
-    moves the balances of its own channels only, and no node's totals, so
-    no other entry changes.
+    the table's only writer: it fills every channel's two hops and both
+    endpoints' candidate entries when the table is made, and a payment's
+    channels after it is made.  A payment moves the balances of its own
+    channels only, and no node's totals, so no other entry changes.
     """
 
-    __slots__ = ("mid", "last", "_totals", "_waived", "_floor", "_band")
+    __slots__ = ("mid", "last", "candidates", "_totals", "_waived", "_floor", "_band")
 
     def __init__(self, g: NetworkGraph, totals: Mapping[int, tuple[int, int]], config: SimulationConfig):
         size = 2 * g.num_channels()
         self.mid = [0] * size
         self.last = [0] * size
+        self.candidates: dict[int, list[int]] = {u: [] for u in g.nodes()}
         self._totals = totals
         self._waived = not config.require_sink_condition
         self._floor = config.min_amount
@@ -396,7 +433,10 @@ class HopCaps:
         self.refresh(g, g.channels)
 
     def refresh(self, g: NetworkGraph, cids: Iterable[int]) -> None:
-        """Rewrite both hops of each channel in `cids` from its balances, one `_excess` per endpoint."""
+        """Rewrite both hops of each channel in `cids`, and its endpoints' candidate entries, from its balances.
+
+        One `_excess` per endpoint feeds all four writes.
+        """
         for cid in cids:
             ch = g.channels[cid]
             a, b = ch.node_a, ch.node_b
@@ -406,6 +446,18 @@ class HopCaps:
             d = g.hop_id(a, cid)
             self._set(d, ch.balance_a, excess_a, totals_a[1], excess_b, totals_b[1])
             self._set(d ^ 1, ch.balance_b, excess_b, totals_b[1], excess_a, totals_a[1])
+            self._mark(self.candidates[a], cid, _is_candidate(excess_a))
+            self._mark(self.candidates[b], cid, _is_candidate(excess_b))
+
+    @staticmethod
+    def _mark(row: list[int], cid: int, candidate: bool) -> None:
+        """`refresh`'s write of one node's candidate list: `cid` in it, in id order, iff `candidate`."""
+        i = bisect_left(row, cid)
+        if i < len(row) and row[i] == cid:
+            if not candidate:
+                del row[i]
+        elif candidate:
+            row.insert(i, cid)
 
     def _set(self, d: int, balance: int, sent: int, sender_kappa: int, received: int, receiver_kappa: int) -> None:
         """`refresh`'s write of hop d, from its sender's balance and both endpoints' `_excess` on the channel.
@@ -458,14 +510,17 @@ def attempt_rebalance(
     at the cost of small oscillations), and every intermediate node caps
     the amount by its agreement rule, declining below `min_amount`.  The
     amount never exceeds u's balance on the first hop, because the first
-    intermediary can receive no more.  Only then is the `RebalanceCycle`
-    built (a malformed one raises `ValueError`) and the payment applied
-    atomically.  Each cycle node's coefficient vector is then copied from
-    the table, and its two entries of the cycle's channels, the only ones
-    the payment moved, are rewritten as balance / capacity, the floats
-    `node_coefficients` makes; its Gini is taken from the new vector.
-    The payment is checked against those, and both are written into the
-    table.  Declines leave the state and the table untouched.  No fee is
+    intermediary can receive no more.  In gini mode each intermediary
+    that granted more than the settled amount is then asked again at it,
+    since the float test need not be monotone (see the module
+    docstring), and a grant below it declines.  Only then is the
+    `RebalanceCycle` built (a malformed one raises `ValueError`) and the
+    payment applied atomically.  Each cycle node's coefficient vector is
+    then copied from the table, and its two entries of the cycle's
+    channels, the only ones the payment moved, are rewritten as balance /
+    capacity, the floats `node_coefficients` makes; its Gini is taken
+    from the new vector.  The payment is checked against those, and both
+    are written into the table.  Declines leave the state and the table untouched.  No fee is
     recorded here: the run tallies fees from its operations once it ends.
 
     Band agreement reads the balances only (`_band_bound`) and gini
@@ -477,12 +532,21 @@ def attempt_rebalance(
     u = hops[0][0]
     if config.require_sink_condition and not check_sink_condition(g, u, hops[-1][2], totals[u]):
         return None
+    mode = config.agreement_mode
+    grants = []
     for (_, _, in_cid), (x, _, out_cid) in zip(hops, hops[1:]):
-        amount = max_agreeable_amount(
-            g, x, in_cid, out_cid, amount, totals[x], ginis[x], coefficients[x], config.agreement_mode
-        )
+        amount = max_agreeable_amount(g, x, in_cid, out_cid, amount, totals[x], ginis[x], coefficients[x], mode)
         if amount < config.min_amount:
             return None
+        grants.append((amount, x, in_cid, out_cid))
+    if mode == "gini":
+        # the float Gini test need not hold below an amount it passed, so
+        # each intermediary a later hop cut is asked again at the final amount
+        for granted, x, in_cid, out_cid in grants:
+            if granted > amount and max_agreeable_amount(
+                g, x, in_cid, out_cid, amount, totals[x], ginis[x], coefficients[x], mode
+            ) < amount:
+                return None
     cycle = RebalanceCycle(u, hops)
     apply_circular_payment(g, cycle, amount)
     # each cycle node sends on one cycle channel and receives on another, and
@@ -553,8 +617,10 @@ def run_simulation(
     the random stream is the same.
 
     Every run fills a `HopCaps` table at its start, and each visit reads
-    its candidates through it in one loop.  The visit ends at once when
-    the table's `mid` entry of the first hop is 0.  Otherwise it scans
+    the table twice: the active node's candidate channels, which the
+    table keeps equal to `candidate_channels` (so the draw is the same),
+    and then its cycle candidates, in one loop.  The visit ends at once
+    when the table's `mid` entry of the first hop is 0.  Otherwise it scans
     the candidates' hop ids in order (`CycleRows.first_reaching`) for the
     next one that reads no 0 in the table, and calls `attempt_rebalance`
     on it.  In band mode that candidate is the first that executes, and
@@ -607,7 +673,7 @@ def run_simulation(
                 break
             if ginis[u] <= config.convergence_epsilon:
                 continue
-            candidates = candidate_channels(g, u, totals[u])
+            candidates = caps.candidates[u]
             if not candidates:
                 continue
             cid = rng.choice(candidates)

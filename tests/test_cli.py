@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import lnbalance
+from lnbalance import evaluation
 from lnbalance.cli import main
 from lnbalance.evaluation import ks_distance
 from lnbalance.model import InvariantViolation
@@ -189,6 +190,13 @@ def test_evaluate_outputs_are_golden(bundle, tmp_path, case):
     out = tmp_path / "eval"
     assert main(["evaluate", "-i", str(bundle / "final_state.csv"), "-o", str(out), *flags]) == 0
     assert digests(out) == golden
+
+
+def test_simulate_samples_build_no_payment_cdf(snapshot, tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(evaluation, "cdf_points", lambda ordered: built.append(ordered) or [])
+    assert simulate(snapshot, tmp_path / "bundle") == 0
+    assert built == []
 
 
 def test_simulate_rerun_is_byte_identical(snapshot, tmp_path):

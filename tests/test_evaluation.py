@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 import math
@@ -292,6 +293,13 @@ class TestEvaluateNetwork:
         assert report.median_payment_sat == values[(len(values) - 1) // 2]
         assert report.payment_size_cdf[-1][1] == 1.0
         assert report.sampled_pairs is None
+
+    def test_report_without_cdf_keeps_rate_and_median(self):
+        records = generate_synthetic(20, 2, (100, 10_000), seed=2)
+        g = allocate_funds_coinflip(records, seed=2)
+        for kwargs in ({}, {"amount": 500}, {"sample_pairs": 40, "seed": 1}):
+            full = evaluate_network(g, **kwargs)
+            assert evaluate_network(g, **kwargs, cdf=False) == dataclasses.replace(full, payment_size_cdf=None)
 
     def test_cdf_points_monotone(self):
         points = cdf_points([1, 1, 3, 3, 7])

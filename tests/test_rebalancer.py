@@ -377,6 +377,9 @@ def test_gini_bound_probes_grow_with_log_bound(data):
 
     bound = min(requested, b_out, cap_in - b_in)
     assert probes <= 2 * (bound - 1).bit_length() + 4  # (bound - 1).bit_length() is ceil(log2 bound)
+    if granted == 0:
+        # a decline is settled by the probes at the bound and at 1 sat
+        assert probes == min(max(bound, 0), 2)
 
     def passes(amount):
         shifted = list(specs)
@@ -388,6 +391,23 @@ def test_gini_bound_probes_grow_with_log_bound(data):
     if granted < bound:
         assert passes(granted)
         assert granted + 1 == bound or not passes(granted + 1)
+
+
+def test_gini_bound_decline_makes_two_probes():
+    """Moving funds from x's emptiest channel into its fullest raises its Gini at any amount:
+    the probes at the bound and at 1 sat settle the call."""
+    g = make_graph([(0, 1, 10, 2), (0, 2, 10, 8), (0, 3, 10, 5)])
+    probes = []
+
+    def counted(values):
+        probes.append(tuple(values))
+        return gini(values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rebalancer, "gini", counted)
+        granted = rebalancer._gini_bound(g, 0, 1, 0, 5, node_gini(g, 0), node_coefficients(g, 0))
+    assert granted == 0
+    assert probes == [(0.0, 1.0, 0.5), (0.1, 0.9, 0.5)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -546,6 +566,27 @@ class TestAttemptRebalance:
         assert {u for u in coefficients if coefficients[u] != kept[u]} == {0, 1, 2}
         assert start[3] > 0
         assert all(ginis[u] is start[u] and coefficients[u] is kept[u] for u in (3, 4))
+
+    def test_gini_intermediary_cut_by_a_later_hop_is_asked_again(self, monkeypatch):
+        """Node 1 passes at 5 but not at 3, where node 2 cuts the payment: the attempt declines."""
+        asked = []
+
+        def uneven(g, x, in_cid, out_cid, requested, before, coefficients):
+            asked.append((x, requested))
+            if x == 1:
+                return requested if requested > 3 else 0
+            return min(requested, 3)
+
+        monkeypatch.setattr(rebalancer, "_gini_bound", uneven)
+        g = skewed_triangle()
+        cfg = config(agreement_mode="gini")
+        before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
+        assert attempt_rebalance(g, TRIANGLE_HOPS, 5, cfg, totals_of(g), *gini_table(g)) is None
+        assert asked == [(1, 5), (2, 5), (1, 3)]
+        assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
+        # node 1 grants 4 and node 2 cuts to 3, where node 1 still agrees
+        monkeypatch.setattr(rebalancer, "_gini_bound", lambda g, x, i, o, requested, *table: min(requested, 5 - x))
+        assert attempt_rebalance(g, TRIANGLE_HOPS, 5, cfg, totals_of(g), *gini_table(g)) == (triangle_cycle(), 3)
 
     @pytest.mark.parametrize("mode", ["band", "gini"])
     def test_gini_table_equals_a_fresh_fill_after_every_payment(self, monkeypatch, mode):
@@ -816,6 +857,15 @@ class TestRunSimulation:
         # _check_executed asserts per op that no intermediate's Gini increased
         assert res.ledger.total() == 0
 
+    def test_gini_run_on_large_capacities_keeps_every_gini(self):
+        """At 10^14 sat and more, one satoshi moves a coefficient by less than the float Gini
+        resolves, so an intermediary can pass its test at the amount it grants and fail it at
+        the amount a later hop settles on; the kernel asks it again there."""
+        records = generate_synthetic(120, 4, (10**14, 10**17), seed=1)
+        g = largest_scc(allocate_funds_coinflip(records, seed=1))
+        res = run_simulation(g, config(seed=1, agreement_mode="gini", max_operations=150))
+        assert len(res.operations) == 150
+
     def test_core_runs_without_numpy(self):
         """model, cycles, rebalancer and ingestion import and run with numpy blocked."""
         script = """
@@ -915,8 +965,10 @@ class TestHopCaps:
 
             def refresh(self, g, cids):
                 super().refresh(g, cids)
-                fresh = fill(g, totals_of(g), cfg)
+                totals = totals_of(g)
+                fresh = fill(g, totals, cfg)
                 assert (self.mid, self.last) == (fresh.mid, fresh.last)
+                assert self.candidates == {u: candidate_channels(g, u, totals[u]) for u in g.nodes()}
                 assert all(entry == 0 or entry >= min_amount for entry in self.mid + self.last)
                 refreshed.append(list(cids))
 
