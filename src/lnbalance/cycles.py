@@ -72,25 +72,14 @@ class Strategy(Enum):
 DEFAULT_FOAF_MAX_LEN = 6
 
 
-# _BUILD[k](first, hop, ids, j), for k up to DEFAULT_FOAF_MAX_LEN - 1: the
-# hop tuple of the cycle whose hops after `first` have the ids ids[j:j + k].
-# Written out per k, because a map() over the slice costs about twice as
-# much, and a gini-mode run builds one per kernel call.
-_BUILD = (
-    None,
-    lambda f, h, r, j: (f, h[r[j]]),
-    lambda f, h, r, j: (f, h[r[j]], h[r[j + 1]]),
-    lambda f, h, r, j: (f, h[r[j]], h[r[j + 1]], h[r[j + 2]]),
-    lambda f, h, r, j: (f, h[r[j]], h[r[j + 1]], h[r[j + 2]], h[r[j + 3]]),
-    lambda f, h, r, j: (f, h[r[j]], h[r[j + 1]], h[r[j + 2]], h[r[j + 3]], h[r[j + 4]]),
-)
-
-# _CAP[k](mid, last, ids, j), likewise: the cycle's cap, min(mid[d] over
-# its hops d after `first` but the last, last[d] of the last), when none of
-# those entries is 0, else 0.  The last hop is tested first, then the
-# others in order, and the test stops at the first 0: a band run's cycles
-# mostly fail at the sink or at the first middle hop, and the min is taken
-# only for the one cycle that passes.
+# _CAP[k](mid, last, ids, j), for k up to DEFAULT_FOAF_MAX_LEN - 1: the cap
+# of the cycle whose hops after `first` have the ids ids[j:j + k], that is
+# min(mid[d] over its hops d after `first` but the last, last[d] of the
+# last), when none of those entries is 0, else 0.  Written out per k,
+# because one runs per scanned cycle.  The last hop is tested first, then
+# the others in order, and the test stops at the first 0: a band run's
+# cycles mostly fail at the sink or at the first middle hop, and the min is
+# taken only for the one cycle that passes.
 _CAP = (
     None,
     lambda m, t, r, j: t[r[j]],
@@ -109,7 +98,7 @@ _CAP = (
     ),
 )
 
-_Row = tuple[int, int, array, Callable[..., Hops], Callable[..., int]]
+_Row = tuple[int, int, array, Callable[..., int]]
 
 
 class CycleRows:
@@ -131,12 +120,12 @@ class CycleRows:
     def __init__(self, first: tuple[int, int, int], hop: list[tuple[int, int, int]], rows: list[tuple[int, array]]):
         self._first = first
         self._hop = hop
-        # (index of the row's first cycle, stride, ids, builder, cap), longest
-        # cycles first, so that an index finds its row from the top
+        # (index of the row's first cycle, stride, ids, cap), longest cycles
+        # first, so that an index finds its row from the top
         self._rows: list[_Row] = []
         start = 0
         for stride, ids in rows:
-            self._rows.insert(0, (start, stride, ids, _BUILD[stride], _CAP[stride]))
+            self._rows.insert(0, (start, stride, ids, _CAP[stride]))
             start += len(ids) // stride
         self._len = start
 
@@ -155,8 +144,8 @@ class CycleRows:
             i += self._len
         if not 0 <= i < self._len:
             raise IndexError("cycle index out of range")
-        (_, _, ids, build, _), j = self._locate(i)
-        return build(self._first, self._hop, ids, j)
+        (_, stride, ids, _), j = self._locate(i)
+        return (self._first, *map(self._hop.__getitem__, ids[j : j + stride]))
 
     def first_reaching(self, tries: Iterable[int], mid: Sequence[int], last: Sequence[int]) -> tuple[int, int] | None:
         """The first index in `tries` whose cycle reads no 0, and its cap; None if there is none.
@@ -169,7 +158,7 @@ class CycleRows:
         """
         locate = self._locate
         for i in tries:
-            (_, _, ids, _, cap), j = locate(i)
+            (_, _, ids, cap), j = locate(i)
             amount = cap(mid, last, ids, j)
             if amount:
                 return i, amount

@@ -14,32 +14,32 @@ The simulation loop `run_simulation`, its kernel `attempt_rebalance` and
 the unit tests call these same functions.  The exact comparison `_excess`
 (b * kappa - c * tau) is behind the first three and band agreement, and
 each floor or test on it has one home: `_is_candidate`, `_desired`,
-`_receivable` and `_is_sink`, which the rules and the run's hop-cap
-table share.
-`_check_executed` re-checks every executed operation with its own
-arithmetic.  The rules
-take a node's (tau, kappa) from `node_totals` as an argument, because
-circular payments never change either total and the simulation
-computes them once per run; the check compares each node's totals
-after the payment with the ones the rules used.  `run_simulation` fills
-one Gini table per run: each node's coefficient vector, in `incident`
-order, in `coefficients`, and the Gini of that vector in `ginis`.
-`attempt_rebalance` is the table's only writer and writes both.  The run
-also caches each (node, channel)'s cycle candidates, once enumerated, as a
-`CycleRows` of flat hop ids, and builds a candidate's hop tuple only when
-it calls the kernel on that candidate.
+`_receivable` and `_is_sink`, which the rules and the run's table
+share.  `_check_executed` re-checks every executed operation with its
+own arithmetic.
 
-Every run also keeps a second table, `HopCaps`: two ints per directed
-hop, by hop id, each 0 below `min_amount`, and each node's candidate
-channels, whose only writer is `HopCaps.refresh`, run once per channel
-at the start and on each payment's channels after it.  A visit draws its
-channel from the table's candidate list, so `candidate_channels` runs
-only in the tests, as the rule the table must equal.  A visit scans its
-cycles' hop ids against the table and calls `attempt_rebalance` only on
-cycles that read no 0 there, since a 0 is a certain decline in either
-agreement mode.  In band
-mode the table decides: the first such cycle executes, at the amount the
-table predicts, or the run raises `InvariantViolation`.  In gini mode the
+A run keeps all its derived state in one table, `RunTable`: each
+node's (tau, kappa) from `node_totals`, its coefficient vector in
+`incident` order and that vector's Gini, its candidate channels, and
+two ints per directed hop, by hop id, each 0 below `min_amount`.  The
+rules take a node's totals from the table as an argument, because
+circular payments never change either total, and the check compares
+each node's totals after the payment with the ones the rules used.
+`RunTable.refresh` is the table's only writer, and writes in place: it
+runs once over every channel when the table is made, and once over each
+payment's channels, from the kernel, after the payment.  A payment moves
+the balances of its own channels only, so no other entry changes.  The
+run also caches each (node, channel)'s cycle candidates, once
+enumerated, as a `CycleRows` of flat hop ids, and builds a candidate's
+hop tuple only when it calls the kernel on that candidate.
+
+A visit draws its channel from the table's candidate list, so
+`candidate_channels` runs only in the tests, as the rule the table must
+equal.  A visit scans its cycles' hop ids against the table and calls
+`attempt_rebalance` only on cycles that read no 0 there, since a 0 is a
+certain decline in either agreement mode.  In band mode the table
+decides: the first such cycle executes, at the amount the table
+predicts, or the run raises `InvariantViolation`.  In gini mode the
 kernel decides, and the scan goes on after a decline; a payment larger
 than the table allows raises `InvariantViolation`.
 
@@ -77,7 +77,6 @@ from .model import (
     apply_circular_payment,
     gini,
     mean_gini,
-    node_coefficients,
     node_gini,  # not called here; perfbench/tracing.py wraps it under this name
     node_totals,
 )
@@ -233,7 +232,7 @@ def _gini_bound(
     and it lands on it within a few pieces.
 
     The float root only seeds the answer.  x's coefficient vector is
-    copied from `coefficients`, x's Gini-table entry in `incident` order,
+    copied from `coefficients`, x's `RunTable` entry in `incident` order,
     so its `gini` is `before` and no probe writes into the table; the
     float test `gini(vector shifted by a) <= before` decides.  The first
     probe is at `bound`, and a pass there is the answer.  The second is
@@ -351,7 +350,7 @@ def max_agreeable_amount(
 
     `totals` is x's (tau, kappa) from `node_totals`; `current_gini` and
     `coefficients` are its `node_gini` and `node_coefficients`, x's
-    entries in the run's Gini table, which gini mode reads but never
+    entries in the run's `RunTable`, which gini mode reads but never
     writes.  Band mode lets both touched coefficients move toward x's
     node coefficient without crossing it; gini mode accepts any amount
     that does not increase x's Gini, preferring the largest.  The result
@@ -376,13 +375,28 @@ def check_sink_condition(g: NetworkGraph, u: int, last_cid: int, totals: tuple[i
     return _is_sink(_excess(g, u, last_cid, totals))
 
 
-class HopCaps:
-    """A run's hop-cap table: two lists indexed by hop id (see `NetworkGraph.hop_table`), and candidates.
+class RunTable:
+    """A run's only derived state: node totals, the Gini table, candidates, and two hop-cap lists.
 
-    Each entry bounds what any attempt can move over one hop, and each
-    entry below `min_amount` is stored as 0; a cycle reads `mid` of its
-    first and each middle hop and `last` of its last hop.  For the hop d
-    from x to y on channel c, in band mode:
+    Every entry is local to a node or to a hop, and comes from the
+    balances of that node's or hop's channels:
+
+    - `totals[u]` is u's (tau, kappa) from `node_totals`, which no
+      circular payment changes;
+    - `coefficients[u]` is u's coefficient vector, balance / capacity per
+      channel in `incident` order, the floats `node_coefficients` makes,
+      and `ginis[u]` is its `gini`, u's `node_gini`; `ginis` is keyed in
+      node order, the order `mean_gini` sums in;
+    - `candidates[u]` is u's candidate channels in id order, as
+      `candidate_channels` gives them: the channels where `_is_candidate`
+      holds for u's `_excess`;
+    - `mid` and `last` are indexed by hop id (see
+      `NetworkGraph.hop_table`).
+
+    Each hop entry bounds what any attempt can move over one hop, and
+    each entry below `min_amount` is stored as 0; a cycle reads `mid` of
+    its first and each middle hop and `last` of its last hop.  For the hop
+    d from x to y on channel c, in band mode:
 
     - `mid[d]` is min(x's desired amount on c, what y can receive on c
       before its coefficient reaches nu_y), and `last[d]` is x's desired
@@ -406,41 +420,40 @@ class HopCaps:
       is a certain decline.  An attempt that reads no 0 may still
       decline.
 
-    `candidates[u]` is u's candidate channels in id order, as
-    `candidate_channels` gives them: the channels where `_is_candidate`
-    holds for u's `_excess`, which `refresh` already computes for both
-    endpoints of each channel it writes.
-
-    `totals` maps every node to its (tau, kappa), and `config` gives the
-    run's agreement mode, sink condition and `min_amount`.  `refresh` is
-    the table's only writer: it fills every channel's two hops and both
-    endpoints' candidate entries when the table is made, and a payment's
-    channels after it is made.  A payment moves the balances of its own
-    channels only, and no node's totals, so no other entry changes.
+    `config` gives the run's agreement mode, sink condition and
+    `min_amount`.  `refresh` is the table's only writer, and writes in
+    place: it runs over every channel when the table is made, and over a
+    payment's channels after it is made.  A payment moves the balances of
+    its own channels only, and no node's totals, so no other entry
+    changes.
     """
 
-    __slots__ = ("mid", "last", "candidates", "_totals", "_waived", "_floor", "_band")
+    __slots__ = ("config", "totals", "coefficients", "ginis", "mid", "last", "candidates")
 
-    def __init__(self, g: NetworkGraph, totals: Mapping[int, tuple[int, int]], config: SimulationConfig):
+    def __init__(self, g: NetworkGraph, config: SimulationConfig):
+        nodes = g.nodes()
         size = 2 * g.num_channels()
+        self.config = config
+        self.totals = {u: node_totals(g, u) for u in nodes}
+        self.coefficients = {u: [0.0] * len(g.incident(u)) for u in nodes}
+        self.ginis = dict.fromkeys(nodes, 0.0)
         self.mid = [0] * size
         self.last = [0] * size
-        self.candidates: dict[int, list[int]] = {u: [] for u in g.nodes()}
-        self._totals = totals
-        self._waived = not config.require_sink_condition
-        self._floor = config.min_amount
-        self._band = config.agreement_mode == "band"
+        self.candidates: dict[int, list[int]] = {u: [] for u in nodes}
         self.refresh(g, g.channels)
 
     def refresh(self, g: NetworkGraph, cids: Iterable[int]) -> None:
-        """Rewrite both hops of each channel in `cids`, and its endpoints' candidate entries, from its balances.
+        """Rewrite every entry the balances of the channels in `cids` feed.
 
-        One `_excess` per endpoint feeds all four writes.
+        Per channel: both hops, and both endpoints' candidate and
+        coefficient entries, from one `_excess` per endpoint.  Then the
+        Gini of each endpoint it touched, once per node.
         """
+        touched = set()
         for cid in cids:
             ch = g.channels[cid]
             a, b = ch.node_a, ch.node_b
-            totals_a, totals_b = self._totals[a], self._totals[b]
+            totals_a, totals_b = self.totals[a], self.totals[b]
             excess_a = _excess(g, a, cid, totals_a)
             excess_b = _excess(g, b, cid, totals_b)
             d = g.hop_id(a, cid)
@@ -448,6 +461,11 @@ class HopCaps:
             self._set(d ^ 1, ch.balance_b, excess_b, totals_b[1], excess_a, totals_a[1])
             self._mark(self.candidates[a], cid, _is_candidate(excess_a))
             self._mark(self.candidates[b], cid, _is_candidate(excess_b))
+            self.coefficients[a][g.incident_positions(a)[cid]] = ch.balance_a / ch.capacity
+            self.coefficients[b][g.incident_positions(b)[cid]] = ch.balance_b / ch.capacity
+            touched.update((a, b))
+        for u in touched:
+            self.ginis[u] = gini(self.coefficients[u])
 
     @staticmethod
     def _mark(row: list[int], cid: int, candidate: bool) -> None:
@@ -464,13 +482,15 @@ class HopCaps:
 
         The table's one floor: an entry below `min_amount` is stored as 0.
         """
-        if self._band:
+        config = self.config
+        if config.agreement_mode == "band":
             cap = _desired(sent, sender_kappa)
             mid = min(cap, _receivable(received, receiver_kappa))
         else:
             cap = mid = balance
-        self.mid[d] = mid if mid >= self._floor else 0
-        self.last[d] = cap if cap >= self._floor and (self._waived or _is_sink(received)) else 0
+        floor = config.min_amount
+        self.mid[d] = mid if mid >= floor else 0
+        self.last[d] = cap if cap >= floor and (not config.require_sink_condition or _is_sink(received)) else 0
 
 
 def record_fees(ledger: FeeLedger, g: NetworkGraph, cycle: RebalanceCycle, amount: int) -> None:
@@ -491,44 +511,32 @@ def record_fees(ledger: FeeLedger, g: NetworkGraph, cycle: RebalanceCycle, amoun
     ledger[cycle.initiator] -= total
 
 
-def attempt_rebalance(
-    g: NetworkGraph,
-    hops: Hops,
-    amount: int,
-    config: SimulationConfig,
-    totals: Mapping[int, tuple[int, int]],
-    ginis: dict[int, float],
-    coefficients: dict[int, list[float]],
-) -> tuple[RebalanceCycle, int] | None:
+def attempt_rebalance(g: NetworkGraph, hops: Hops, amount: int, table: RunTable) -> tuple[RebalanceCycle, int] | None:
     """Try one circular rebalance; returns the executed cycle and amount, or None.
 
-    The initiator u proposes `amount` on the first of `hops`.  `totals`
-    maps each cycle node to its (tau, kappa) from `node_totals`; the
-    run's Gini table maps it to its current `node_gini` in `ginis` and
-    its current `node_coefficients` in `coefficients`.  The sink
-    condition is checked unless the config waives it (easier path finding
-    at the cost of small oscillations), and every intermediate node caps
-    the amount by its agreement rule, declining below `min_amount`.  The
-    amount never exceeds u's balance on the first hop, because the first
-    intermediary can receive no more.  In gini mode each intermediary
-    that granted more than the settled amount is then asked again at it,
-    since the float test need not be monotone (see the module
-    docstring), and a grant below it declines.  Only then is the
-    `RebalanceCycle` built (a malformed one raises `ValueError`) and the
-    payment applied atomically.  Each cycle node's coefficient vector is
-    then copied from the table, and its two entries of the cycle's
-    channels, the only ones the payment moved, are rewritten as balance /
-    capacity, the floats `node_coefficients` makes; its Gini is taken
-    from the new vector.  The payment is checked against those, and both
-    are written into the table.  Declines leave the state and the table untouched.  No fee is
-    recorded here: the run tallies fees from its operations once it ends.
+    The initiator u proposes `amount` on the first of `hops`.  Every rule
+    reads a cycle node's totals, Gini and coefficient vector from
+    `table`, the run's `RunTable`, and the run's knobs from its config.
+    The sink condition is checked unless the config waives it (easier
+    path finding at the cost of small oscillations), and every
+    intermediate node caps the amount by its agreement rule, declining
+    below `min_amount`.  The amount never exceeds u's balance on the first
+    hop, because the first intermediary can receive no more.  In gini
+    mode each intermediary that granted more than the settled amount is
+    then asked again at it, since the float test need not be monotone
+    (see the module docstring), and a grant below it declines.  Only then
+    is the `RebalanceCycle` built (a malformed one raises `ValueError`)
+    and the payment applied atomically.  The kernel keeps the cycle
+    nodes' Ginis from before, has `table.refresh` rewrite the payment's
+    channels, and checks the payment against both.  A decline leaves the
+    state and the table untouched.  No fee is recorded here: the run
+    tallies fees from its operations once it ends.
 
-    Band agreement reads the balances only (`_band_bound`) and gini
-    agreement the Gini table; both rewrite the Gini table after a
-    payment.  The run calls the kernel only on cycles whose hop-cap table
-    (`HopCaps`) entries are all nonzero; the run, not the kernel, then
-    refreshes that table.
+    The run calls the kernel only on cycles whose hop entries in the
+    table are all nonzero.
     """
+    config = table.config
+    totals, ginis, coefficients = table.totals, table.ginis, table.coefficients
     u = hops[0][0]
     if config.require_sink_condition and not check_sink_condition(g, u, hops[-1][2], totals[u]):
         return None
@@ -548,35 +556,22 @@ def attempt_rebalance(
             ) < amount:
                 return None
     cycle = RebalanceCycle(u, hops)
+    before = {x: ginis[x] for x in cycle.nodes}
     apply_circular_payment(g, cycle, amount)
-    # each cycle node sends on one cycle channel and receives on another, and
-    # the payment moves no other coefficient of it
-    vectors = {x: coefficients[x].copy() for x in cycle.nodes}
-    for sender, receiver, cid in hops:
-        ch = g.channels[cid]
-        vectors[sender][g.incident_positions(sender)[cid]] = ch.balance(sender) / ch.capacity
-        vectors[receiver][g.incident_positions(receiver)[cid]] = ch.balance(receiver) / ch.capacity
-    after = {x: gini(vector) for x, vector in vectors.items()}
-    _check_executed(g, hops, totals, config.agreement_mode, ginis, after)
-    ginis.update(after)
-    coefficients.update(vectors)
+    table.refresh(g, cycle.channel_ids)
+    _check_executed(g, hops, table, before)
     return cycle, amount
 
 
-def _check_executed(
-    g: NetworkGraph,
-    hops: Hops,
-    totals: Mapping[int, tuple[int, int]],
-    mode: str,
-    ginis: Mapping[int, float],
-    after: Mapping[int, float],
-) -> None:
+def _check_executed(g: NetworkGraph, hops: Hops, table: RunTable, before: Mapping[int, float]) -> None:
     """Post-conditions of one executed payment; raises InvariantViolation.
 
     Capacities and node totals are as the rules saw them.  Each
     intermediary either stayed on its side of nu on both channels (band
-    mode) or did not raise its Gini (gini mode): `after[x] <= ginis[x]`.
+    mode) or did not raise its Gini (gini mode): its Gini in the
+    refreshed `table` is at most its Gini `before` the payment.
     """
+    totals, mode = table.totals, table.config.agreement_mode
     for _, _, cid in hops:
         ch = g.channels[cid]
         if ch.balance_a + ch.balance_b != ch.capacity:
@@ -594,7 +589,7 @@ def _check_executed(
                 raise InvariantViolation(f"node {x} crossed nu on its out channel")
             if in_ch.balance(x) * kappa > tau * in_ch.capacity:
                 raise InvariantViolation(f"node {x} crossed nu on its in channel")
-        elif after[x] > ginis[x]:
+        elif table.ginis[x] > before[x]:
             raise InvariantViolation(f"node {x} Gini increased")
 
 
@@ -616,20 +611,20 @@ def run_simulation(
     is below `min_amount`, no cycle is tried; the shuffle still runs, so
     the random stream is the same.
 
-    Every run fills a `HopCaps` table at its start, and each visit reads
-    the table twice: the active node's candidate channels, which the
-    table keeps equal to `candidate_channels` (so the draw is the same),
-    and then its cycle candidates, in one loop.  The visit ends at once
-    when the table's `mid` entry of the first hop is 0.  Otherwise it scans
-    the candidates' hop ids in order (`CycleRows.first_reaching`) for the
-    next one that reads no 0 in the table, and calls `attempt_rebalance`
-    on it.  In band mode that candidate is the first that executes, and
-    the kernel must move the predicted amount, or the run raises
-    `InvariantViolation`.  In gini mode the kernel may decline, and the
-    scan then goes on from the next candidate; a payment must move at
-    most the table's bound, or the run raises `InvariantViolation`.
-    After a payment the run refreshes the table on the payment's
-    channels, its only write.  The candidates it skips would all
+    Every run builds one `RunTable` at its start and never writes to it;
+    the kernel has it refreshed after each payment.  A visit reads the
+    active node's Gini and candidate channels from it, which the table
+    keeps equal to `node_gini` and `candidate_channels` (so the draw is
+    the same), and then its cycle candidates, in one loop.  The visit
+    ends at once when the table's `mid` entry of the first hop is 0.
+    Otherwise it scans the candidates' hop ids in order
+    (`CycleRows.first_reaching`) for the next one that reads no 0 in the
+    table, and calls `attempt_rebalance` on it.  In band mode that
+    candidate is the first that executes, and the kernel must move the
+    predicted amount, or the run raises `InvariantViolation`.  In gini
+    mode the kernel may decline, and the scan then goes on from the next
+    candidate; a payment must move at most the table's bound, or the run
+    raises `InvariantViolation`.  The candidates it skips would all
     decline, and a decline draws no random number and writes no state,
     so it executes the operations that calling the kernel on each
     candidate in turn would.
@@ -647,13 +642,10 @@ def run_simulation(
     nodes = g.nodes()
     if not nodes:
         raise ValueError("cannot simulate an empty graph")
-    # circular payments never change a node's (tau, kappa)
-    totals = {u: node_totals(g, u) for u in nodes}
+    table = RunTable(g, config)
+    totals, ginis, mid, last = table.totals, table.ginis, table.mid, table.last
     divisor = config.mpp_divisor if config.strategy.splits_amount else 1
-    coefficients = {u: node_coefficients(g, u) for u in nodes}
-    ginis = {u: gini(coefficients[u]) for u in nodes}
     imbalance = mean_gini(ginis.values())
-    caps = HopCaps(g, totals, config)
     band = config.agreement_mode == "band"
 
     def take_sample(ops_count: int) -> MetricsSample:
@@ -673,7 +665,7 @@ def run_simulation(
                 break
             if ginis[u] <= config.convergence_epsilon:
                 continue
-            candidates = caps.candidates[u]
+            candidates = table.candidates[u]
             if not candidates:
                 continue
             cid = rng.choice(candidates)
@@ -690,15 +682,15 @@ def run_simulation(
             if amount < config.min_amount:
                 continue
             # the first hop's entry caps every cycle of the visit
-            capped = min(amount, caps.mid[g.hop_id(u, cid)])
+            capped = min(amount, mid[g.hop_id(u, cid)])
             if not capped:
                 continue
             executed = None
             # after a gini decline the scan goes on from the next index
             pending = iter(tries)
-            while executed is None and (found := cyc.first_reaching(pending, caps.mid, caps.last)) is not None:
+            while executed is None and (found := cyc.first_reaching(pending, mid, last)) is not None:
                 i, bound = found[0], min(capped, found[1])
-                executed = attempt_rebalance(g, cyc[i], amount, config, totals, ginis, coefficients)
+                executed = attempt_rebalance(g, cyc[i], amount, table)
                 if band and (executed is None or executed[1] != bound):
                     outcome = "declined" if executed is None else f"moved {executed[1]}"
                     raise InvariantViolation(f"hop caps predicted {bound} on cycle {cyc[i]}; the kernel {outcome}")
@@ -708,7 +700,6 @@ def run_simulation(
                     )
             if executed is None:
                 continue
-            caps.refresh(g, executed[0].channel_ids)
             cycle, moved = executed
             ops += 1
             imbalance = mean_gini(ginis.values())

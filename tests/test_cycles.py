@@ -266,6 +266,13 @@ class TestCycleRows:
         assert list(cycles) == expected
         assert all(type(c) is tuple and all(type(h) is tuple for h in c) for c in cycles)
 
+    def test_foaf_rows_of_every_stride(self):
+        # a seven-clique with a parallel first channel has foaf cycles of 2 to 6
+        # hops, so the hop tuples come from rows of every stride, 1 to 5
+        g = make_graph([(0, 1, 10, 5)] + [(i, j, 10, 5) for i in range(7) for j in range(i + 1, 7)])
+        assert {len(c) for c in enumerate_cycles(g, 0, 0, Strategy.FOAF, cap=10_000)} == {2, 3, 4, 5, 6}
+        assert_matches_ordered_oracle(g, 0, 0, (Strategy.FOAF, Strategy.MPP))
+
     def test_index_past_either_end_raises(self):
         cycles, _ = self.cycles_and_list()
         for i in (len(cycles), len(cycles) + 7, -len(cycles) - 1):

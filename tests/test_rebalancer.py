@@ -29,6 +29,7 @@ from lnbalance.model import (
 )
 from lnbalance.rebalancer import (
     FeeLedger,
+    RunTable,
     SimulationConfig,
     attempt_rebalance,
     candidate_channels,
@@ -73,7 +74,7 @@ def proposal_of(g):
 
 
 def gini_table(g):
-    """A Gini table fresh from the balances: (ginis, coefficients), as `attempt_rebalance` takes it."""
+    """Every node's (`node_gini`, `node_coefficients`), from the balances: what a `RunTable` must hold."""
     return {u: node_gini(g, u) for u in g.nodes()}, {u: node_coefficients(g, u) for u in g.nodes()}
 
 
@@ -509,7 +510,7 @@ class TestAttemptRebalance:
     def test_triangle_executes_five(self):
         g = skewed_triangle()
         assert proposal_of(g) == 5
-        cycle, amount = attempt_rebalance(g, TRIANGLE_HOPS, 5, config(), totals_of(g), *gini_table(g))
+        cycle, amount = attempt_rebalance(g, TRIANGLE_HOPS, 5, RunTable(g, config()))
         assert cycle == triangle_cycle()
         assert amount == 5
         assert network_imbalance(g) == 0.0
@@ -520,14 +521,14 @@ class TestAttemptRebalance:
         # node 1 has nothing on its outgoing channel
         g = make_graph([(0, 1, 10, 10), (1, 2, 10, 0), (2, 0, 10, 10)])
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
-        outcome = attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), config(), totals_of(g), *gini_table(g))
+        outcome = attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), RunTable(g, config()))
         assert outcome is None
         assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
 
     def test_declines_on_zero_desired(self):
         g = make_graph([(0, 1, 10, 5), (1, 2, 10, 5), (2, 0, 10, 5)])
         assert proposal_of(g) == 0
-        assert attempt_rebalance(g, TRIANGLE_HOPS, 0, config(), totals_of(g), *gini_table(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, 0, RunTable(g, config())) is None
 
     def test_sink_condition_blocks(self):
         # initiator's receiving side of the last channel sits above its nu
@@ -538,34 +539,39 @@ class TestAttemptRebalance:
 
         g = build()
         amount = proposal_of(g)
-        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, config(), totals_of(g), *gini_table(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, RunTable(g, config())) is None
         relaxed = config(require_sink_condition=False)
         g = build()
-        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, relaxed, totals_of(g), *gini_table(g))[1] == 2
+        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, RunTable(g, relaxed))[1] == 2
 
     def test_min_amount_threshold(self):
         # a proposal below min_amount is declined at the first intermediary
         g = skewed_triangle()
         cfg = config(min_amount=6)
-        assert attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), cfg, totals_of(g), *gini_table(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), RunTable(g, cfg)) is None
 
     def test_gini_table_rewritten_for_cycle_nodes_only(self):
         # the skewed triangle plus node 3, off the cycle, with an uneven Gini
         g = make_graph([(0, 1, 10, 10), (1, 2, 10, 10), (2, 0, 10, 10), (0, 3, 10, 5), (3, 4, 10, 2)])
-        ginis, coefficients = gini_table(g)
-        start = dict(ginis)
-        kept = dict(coefficients)
-        amount, totals = proposal_of(g), totals_of(g)
-        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, config(min_amount=6), totals, ginis, coefficients) is None
-        assert ginis == start
-        assert all(coefficients[u] is kept[u] for u in g.nodes())
-        assert coefficients == gini_table(g)[1]
-        cycle, _ = attempt_rebalance(g, TRIANGLE_HOPS, amount, config(), totals, ginis, coefficients)
+        amount = proposal_of(g)
+
+        def entries(table):
+            return table.totals, table.coefficients, table.ginis, table.mid, table.last, table.candidates
+
+        table = RunTable(g, config(min_amount=6))
+        start = copy.deepcopy(table)
+        assert attempt_rebalance(g, TRIANGLE_HOPS, amount, table) is None
+        assert entries(table) == entries(start)
+        assert (table.ginis, table.coefficients) == gini_table(g)
+        table = RunTable(g, config())
+        start = copy.deepcopy(table)
+        cycle, _ = attempt_rebalance(g, TRIANGLE_HOPS, amount, table)
+        ginis, coefficients = table.ginis, table.coefficients
         assert (ginis, coefficients) == gini_table(g)
-        assert {u for u in ginis if ginis[u] != start[u]} == set(cycle.nodes) == {0, 1, 2}
-        assert {u for u in coefficients if coefficients[u] != kept[u]} == {0, 1, 2}
-        assert start[3] > 0
-        assert all(ginis[u] is start[u] and coefficients[u] is kept[u] for u in (3, 4))
+        assert {u for u in ginis if ginis[u] != start.ginis[u]} == set(cycle.nodes) == {0, 1, 2}
+        assert {u for u in coefficients if coefficients[u] != start.coefficients[u]} == {0, 1, 2}
+        assert start.ginis[3] > 0
+        assert all(ginis[u] == start.ginis[u] and coefficients[u] == start.coefficients[u] for u in (3, 4))
 
     def test_gini_intermediary_cut_by_a_later_hop_is_asked_again(self, monkeypatch):
         """Node 1 passes at 5 but not at 3, where node 2 cuts the payment: the attempt declines."""
@@ -581,38 +587,12 @@ class TestAttemptRebalance:
         g = skewed_triangle()
         cfg = config(agreement_mode="gini")
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
-        assert attempt_rebalance(g, TRIANGLE_HOPS, 5, cfg, totals_of(g), *gini_table(g)) is None
+        assert attempt_rebalance(g, TRIANGLE_HOPS, 5, RunTable(g, cfg)) is None
         assert asked == [(1, 5), (2, 5), (1, 3)]
         assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
         # node 1 grants 4 and node 2 cuts to 3, where node 1 still agrees
         monkeypatch.setattr(rebalancer, "_gini_bound", lambda g, x, i, o, requested, *table: min(requested, 5 - x))
-        assert attempt_rebalance(g, TRIANGLE_HOPS, 5, cfg, totals_of(g), *gini_table(g)) == (triangle_cycle(), 3)
-
-    @pytest.mark.parametrize("mode", ["band", "gini"])
-    def test_gini_table_equals_a_fresh_fill_after_every_payment(self, monkeypatch, mode):
-        """The kernel rewrites two entries per cycle node; parallel channels, with ids out of
-        insertion order, put a node's entries where neither its neighbours nor its hop ids say."""
-        base = synthetic(40, 3, 5)
-        rng = random.Random(5)
-        specs = [(ch.node_a, ch.node_b, ch.capacity, ch.balance_a) for ch in base.channels.values()]
-        specs += [(a, b, cap, rng.randint(0, cap)) for a, b, cap, _ in specs[::2]]
-        ids = rng.sample(range(len(specs)), len(specs))
-        parallel = set(ids[base.num_channels():])
-        g = make_graph(specs, ids)
-        attempt = rebalancer.attempt_rebalance
-        paid = []
-
-        def checked_attempt(g, hops, amount, config, totals, ginis, coefficients):
-            executed = attempt(g, hops, amount, config, totals, ginis, coefficients)
-            if executed is not None:
-                assert (ginis, coefficients) == gini_table(g)
-                paid.append(executed[0].channel_ids)
-            return executed
-
-        monkeypatch.setattr(rebalancer, "attempt_rebalance", checked_attempt)
-        res = run_simulation(g, config(seed=5, strategy=Strategy.CYCLE5, agreement_mode=mode, max_operations=100))
-        assert len(paid) == len(res.operations) > 0
-        assert any(parallel.intersection(cids) for cids in paid)
+        assert attempt_rebalance(g, TRIANGLE_HOPS, 5, RunTable(g, cfg)) == (triangle_cycle(), 3)
 
     def test_malformed_hops_rejected_before_any_mutation(self):
         # a figure eight through initiator 0: every rule agrees to 5, but
@@ -626,7 +606,7 @@ class TestAttemptRebalance:
             assert max_agreeable_amount(g, x, in_cid, out_cid, 5, totals[x], **table_of(g, x)) == 5
         before = [(c.balance_a, c.balance_b) for c in g.channels.values()]
         with pytest.raises(ValueError, match="^initiator may appear only at the cycle ends$"):
-            attempt_rebalance(g, hops, 5, config(), totals, *gini_table(g))
+            attempt_rebalance(g, hops, 5, RunTable(g, config()))
         assert [(c.balance_a, c.balance_b) for c in g.channels.values()] == before
 
 
@@ -687,7 +667,7 @@ def test_post_condition_catches_faulty_execution(monkeypatch, specs, mode, targe
     g = make_graph(specs) if specs else skewed_triangle()
     monkeypatch.setattr(rebalancer, target, fault(getattr(rebalancer, target)))
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
-        attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), config(agreement_mode=mode), totals_of(g), *gini_table(g))
+        attempt_rebalance(g, TRIANGLE_HOPS, proposal_of(g), RunTable(g, config(agreement_mode=mode)))
 
 
 def _decline_at_the_sink(check):
@@ -721,13 +701,13 @@ def test_kernel_recheck_catches_a_wrong_prediction(monkeypatch, target, fault, o
 
 def test_kernel_recheck_catches_a_gini_payment_above_the_table(monkeypatch):
     """A gini run raises when the kernel moves more than the hop-cap table allows."""
-    write = rebalancer.HopCaps._set
+    write = rebalancer.RunTable._set
 
     def capped_at_1(self, d, *args):
         write(self, d, *args)
         self.mid[d] = min(self.mid[d], 1)
 
-    monkeypatch.setattr(rebalancer.HopCaps, "_set", capped_at_1)
+    monkeypatch.setattr(rebalancer.RunTable, "_set", capped_at_1)
     message = re.escape(f"hop caps bound 1 on cycle {TRIANGLE_HOPS}; the kernel moved 5")
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
         run_simulation(skewed_triangle(), config(agreement_mode="gini"))
@@ -735,7 +715,7 @@ def test_kernel_recheck_catches_a_gini_payment_above_the_table(monkeypatch):
 
 def test_kernel_recheck_catches_a_stale_table(monkeypatch):
     """A table that no payment refreshes soon predicts an attempt the kernel does not make."""
-    refresh = rebalancer.HopCaps.refresh
+    refresh = rebalancer.RunTable.refresh
     calls = []
 
     def fill_only(self, g, cids):
@@ -743,7 +723,7 @@ def test_kernel_recheck_catches_a_stale_table(monkeypatch):
         if len(calls) == 1:
             refresh(self, g, cids)
 
-    monkeypatch.setattr(rebalancer.HopCaps, "refresh", fill_only)
+    monkeypatch.setattr(rebalancer.RunTable, "refresh", fill_only)
     g = synthetic(60, 3, 9)
     message = r"^hop caps predicted \d+ on cycle .+; the kernel (declined|moved \d+)$"
     with pytest.raises(InvariantViolation, match=message):
@@ -834,11 +814,11 @@ class TestRunSimulation:
         attempt = rebalancer.attempt_rebalance
         checked = []
 
-        def checked_attempt(g, hops, amount, config, totals, ginis, coefficients):
-            executed = attempt(g, hops, amount, config, totals, ginis, coefficients)
+        def checked_attempt(g, hops, amount, table):
+            executed = attempt(g, hops, amount, table)
             if executed is not None:
                 # every node's table entries, not only the cycle's, equal the model's
-                assert (ginis, coefficients) == gini_table(g)
+                assert (table.ginis, table.coefficients) == gini_table(g)
                 checked.append(executed)
             return executed
 
@@ -903,8 +883,9 @@ visits = given(
 )
 
 
-class TestHopCaps:
-    """Runs skip the cycles whose hop-cap table entries hold a 0; a band run's table also predicts the payment."""
+class TestRunTable:
+    """Runs skip the cycles whose hop-cap entries in the run's table hold a 0; a band run's table also predicts
+    the payment."""
 
     @settings(max_examples=60, deadline=None)
     @visits
@@ -916,16 +897,15 @@ class TestHopCaps:
         cfg = config(seed=seed, cycle_cap=200, **knobs)
         # part-way through a run, so that payments have moved balances
         run_simulation(g, dataclasses.replace(cfg, max_operations=warmup))
-        totals = totals_of(g)
-        caps = rebalancer.HopCaps(g, totals, cfg)
-        tables = gini_table(g)
+        table = RunTable(g, cfg)
+        totals = table.totals
         divisor = cfg.mpp_divisor if cfg.strategy.splits_amount else 1
         rng = random.Random(seed)
 
         def predict(cycles, tries, first, amount):
             """As the run predicts a visit: the first hop's `mid` caps the proposal, then the scan."""
-            capped = min(amount, caps.mid[first]) if amount >= cfg.min_amount else 0
-            found = cycles.first_reaching(tries, caps.mid, caps.last) if capped else None
+            capped = min(amount, table.mid[first]) if amount >= cfg.min_amount else 0
+            found = cycles.first_reaching(tries, table.mid, table.last) if capped else None
             return None if found is None else (found[0], min(capped, found[1]))
 
         keys = [(u, cid) for u in g.nodes() for cid in candidate_channels(g, u, totals[u])]
@@ -940,8 +920,8 @@ class TestHopCaps:
             for i in tries:
                 # a declined attempt leaves its copy as it was, so only a payment needs a new one
                 if copies is None:
-                    copies = copy.deepcopy((g, *tables))
-                executed = attempt_rebalance(copies[0], cycles[i], amount, cfg, totals, *copies[1:])
+                    copies = copy.deepcopy((g, table))
+                executed = attempt_rebalance(copies[0], cycles[i], amount, copies[1])
                 expected = None if executed is None else (i, executed[1])
                 assert predict(cycles, [i], first, amount) == expected
                 if expected is not None:
@@ -955,7 +935,11 @@ class TestHopCaps:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_table_equals_a_fresh_fill_after_every_payment(self, monkeypatch, strategy, require_sink_condition,
                                                             min_amount, agreement_mode):
-        fill = rebalancer.HopCaps
+        """After the fill and after each payment, every entry equals a fresh table's and the rules'.
+
+        The second graph adds parallel channels, with ids out of insertion order, which put a node's
+        coefficient entries where neither its neighbours nor its hop ids say."""
+        fill = rebalancer.RunTable
         refreshed = []
         cfg = config(seed=9, strategy=strategy, require_sink_condition=require_sink_condition,
                      min_amount=min_amount, agreement_mode=agreement_mode, max_operations=150)
@@ -965,19 +949,31 @@ class TestHopCaps:
 
             def refresh(self, g, cids):
                 super().refresh(g, cids)
-                totals = totals_of(g)
-                fresh = fill(g, totals, cfg)
+                fresh = fill(g, cfg)
                 assert (self.mid, self.last) == (fresh.mid, fresh.last)
-                assert self.candidates == {u: candidate_channels(g, u, totals[u]) for u in g.nodes()}
+                assert self.totals == fresh.totals == totals_of(g)
+                assert self.candidates == fresh.candidates
+                assert self.candidates == {u: candidate_channels(g, u, self.totals[u]) for u in g.nodes()}
+                assert (self.ginis, self.coefficients) == (fresh.ginis, fresh.coefficients) == gini_table(g)
+                # in node order, the order the run's `mean_gini` sums in
+                assert list(self.ginis) == g.nodes()
                 assert all(entry == 0 or entry >= min_amount for entry in self.mid + self.last)
                 refreshed.append(list(cids))
 
-        monkeypatch.setattr(rebalancer, "HopCaps", Checked)
-        g = synthetic(60, 3, 9)
-        res = run_simulation(g, cfg)
-        assert res.operations
-        # the fill, then each payment's channels
-        assert refreshed == [list(g.channels)] + [list(op.cycle.channel_ids) for op in res.operations]
+        monkeypatch.setattr(rebalancer, "RunTable", Checked)
+        base = synthetic(40, 3, 5)
+        rng = random.Random(5)
+        specs = [(ch.node_a, ch.node_b, ch.capacity, ch.balance_a) for ch in base.channels.values()]
+        specs += [(a, b, cap, rng.randint(0, cap)) for a, b, cap, _ in specs[::2]]
+        ids = rng.sample(range(len(specs)), len(specs))
+        parallel = set(ids[base.num_channels():])
+        for g in (synthetic(60, 3, 9), make_graph(specs, ids)):
+            refreshed.clear()
+            res = run_simulation(g, cfg)
+            assert res.operations
+            # the fill, then each payment's channels
+            assert refreshed == [list(g.channels)] + [list(op.cycle.channel_ids) for op in res.operations]
+        assert any(parallel.intersection(op.cycle.channel_ids) for op in res.operations)
 
     @settings(max_examples=60, deadline=None)
     @visits
@@ -988,9 +984,8 @@ class TestHopCaps:
         assume(g.num_nodes() >= 2)
         cfg = config(seed=seed, cycle_cap=200, agreement_mode="gini", **knobs)
         run_simulation(g, dataclasses.replace(cfg, max_operations=warmup))
-        totals = totals_of(g)
-        caps = rebalancer.HopCaps(g, totals, cfg)
-        tables = gini_table(g)
+        table = RunTable(g, cfg)
+        totals = table.totals
         divisor = cfg.mpp_divisor if cfg.strategy.splits_amount else 1
         rng = random.Random(seed)
         keys = [(u, cid) for u in g.nodes() for cid in candidate_channels(g, u, totals[u])]
@@ -999,14 +994,14 @@ class TestHopCaps:
             tries = list(range(len(cycles)))
             rng.shuffle(tries)
             amount = desired_amount(g, u, cid, totals[u]) // divisor
-            capped = min(amount, caps.mid[g.hop_id(u, cid)]) if amount >= cfg.min_amount else 0
+            capped = min(amount, table.mid[g.hop_id(u, cid)]) if amount >= cfg.min_amount else 0
             executes = set()
             copies = None
             for i in tries:
                 if copies is None:
-                    copies = copy.deepcopy((g, *tables))
-                executed = attempt_rebalance(copies[0], cycles[i], amount, cfg, totals, *copies[1:])
-                found = cycles.first_reaching([i], caps.mid, caps.last) if capped else None
+                    copies = copy.deepcopy((g, table))
+                executed = attempt_rebalance(copies[0], cycles[i], amount, copies[1])
+                found = cycles.first_reaching([i], table.mid, table.last) if capped else None
                 if found is None:
                     assert executed is None
                 elif executed is not None:
@@ -1017,7 +1012,7 @@ class TestHopCaps:
             pending = iter(tries)
             reached = None
             while capped and reached is None:
-                found = cycles.first_reaching(pending, caps.mid, caps.last)
+                found = cycles.first_reaching(pending, table.mid, table.last)
                 if found is None:
                     break
                 if found[0] in executes:
@@ -1044,8 +1039,8 @@ class TestSimulationConfig:
 def reference_simulation(g, config):
     """Deliberately naive `run_simulation`: same RNG calls, nothing cached.
 
-    Totals, node Gini values, the proposal and the network imbalance are
-    recomputed at every attempt, with no skip of a visit whose proposal is
+    A fresh `RunTable` (totals, node Gini values), the proposal and the
+    network imbalance are made at every attempt, with no skip of a visit whose proposal is
     below `min_amount`, and cycles are enumerated afresh at every visit.
     Fees are recorded right after each executed payment.  Returns
     (seq, initiator, cycle, amount, imbalance_after) per executed operation,
@@ -1074,11 +1069,9 @@ def reference_simulation(g, config):
             indices = list(range(len(cycles)))
             rng.shuffle(indices)
             for i in indices:
-                totals = {x: node_totals(g, x) for x, _, _ in cycles[i]}
-                ginis = {x: node_gini(g, x) for x, _, _ in cycles[i]}
-                coefficients = {x: node_coefficients(g, x) for x, _, _ in cycles[i]}
-                amount = desired_amount(g, u, cid, totals[u]) // divisor
-                executed = attempt_rebalance(g, cycles[i], amount, config, totals, ginis, coefficients)
+                table = RunTable(g, config)
+                amount = desired_amount(g, u, cid, table.totals[u]) // divisor
+                executed = attempt_rebalance(g, cycles[i], amount, table)
                 if executed is not None:
                     cycle, amount = executed
                     record_fees(ledger, g, cycle, amount)
