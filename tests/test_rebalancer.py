@@ -594,6 +594,32 @@ class TestAttemptRebalance:
         monkeypatch.setattr(rebalancer, "_gini_bound", lambda g, x, i, o, requested, *table: min(requested, 5 - x))
         assert attempt_rebalance(g, TRIANGLE_HOPS, 5, RunTable(g, cfg)) == (triangle_cycle(), 3)
 
+    @pytest.mark.parametrize("mode", ["band", "gini"])
+    def test_gini_table_equals_a_fresh_fill_after_every_payment(self, monkeypatch, mode):
+        """Each payment leaves the table's Ginis and coefficients equal to the balances'; parallel channels,
+        with ids out of insertion order, put a node's entries where neither its neighbours nor its hop ids say."""
+        base = synthetic(40, 3, 5)
+        rng = random.Random(5)
+        specs = [(ch.node_a, ch.node_b, ch.capacity, ch.balance_a) for ch in base.channels.values()]
+        specs += [(a, b, cap, rng.randint(0, cap)) for a, b, cap, _ in specs[::2]]
+        ids = rng.sample(range(len(specs)), len(specs))
+        parallel = set(ids[base.num_channels():])
+        g = make_graph(specs, ids)
+        attempt = rebalancer.attempt_rebalance
+        paid = []
+
+        def checked_attempt(g, hops, amount, table):
+            executed = attempt(g, hops, amount, table)
+            if executed is not None:
+                assert (table.ginis, table.coefficients) == gini_table(g)
+                paid.append(executed[0].channel_ids)
+            return executed
+
+        monkeypatch.setattr(rebalancer, "attempt_rebalance", checked_attempt)
+        res = run_simulation(g, config(seed=5, strategy=Strategy.CYCLE5, agreement_mode=mode, max_operations=100))
+        assert len(paid) == len(res.operations) > 0
+        assert any(parallel.intersection(cids) for cids in paid)
+
     def test_malformed_hops_rejected_before_any_mutation(self):
         # a figure eight through initiator 0: every rule agrees to 5, but
         # the initiator reappears mid-cycle, which RebalanceCycle rejects
