@@ -26,7 +26,9 @@ run builds a tuple only for a cycle it hands to the attempt kernel.
 arrays, with no tuple at all: a run scans a visit's cycles with it
 against two tables of per-hop caps kept by hop id, where a 0 stops every
 cycle that reads it, and builds a tuple only for a cycle that reads none.
-Both find a cycle's row by the same lookup.
+Both find a cycle's row by one walk down the rows, longest first:
+indexing through `_locate`, and `first_reaching` with that walk written
+inline, since it runs once per scanned cycle.
 
 Pruning.  The search is one depth-first walk that does only its hop
 limit's work:
@@ -154,12 +156,17 @@ class CycleRows:
         the last, and `last[d]` of its last hop, with `mid` and `last`
         indexed by hop id; its cap is the least of those entries.  The
         first hop is shared by every cycle and is not read.  Each index in
-        `tries` is in 0..len - 1.
+        `tries` is in 0..len - 1; one outside raises `IndexError`.
         """
-        locate = self._locate
+        rows = self._rows
+        # `_locate` written inline: it runs once per scanned index
         for i in tries:
-            (_, _, ids, cap), j = locate(i)
-            amount = cap(mid, last, ids, j)
+            for start, stride, ids, cap in rows:
+                if i >= start:
+                    break
+            else:
+                raise IndexError("cycle index out of range")
+            amount = cap(mid, last, ids, (i - start) * stride)
             if amount:
                 return i, amount
         return None
@@ -216,9 +223,10 @@ def enumerate_cycles(
     # still close: every step from the peer, and from any other node the
     # steps into the ball, whatever the hops left
     steps_at: dict[int, list[tuple[int, int]]] = {v: [(nb, d) for nb, out in g.hops_by_neighbor(v).items() for d in out]}
-    # last_at[node]: (next node, hop id, closing hop id) for each last step;
-    # none returns to the peer
-    last_at: dict[int, list[tuple[int, int, int]]] = {}
+    # last_at[node]: (next node, its tail) for each last step, the tail an
+    # array of the step's hop id and its closing hop id, so that a cycle is
+    # written by two extends; none returns to the peer
+    last_at: dict[int, list[tuple[int, array]]] = {}
 
     def extend(current: int, budget: int) -> None:
         # steps from `current`, with `budget` >= 2 hops left after each; a
@@ -251,18 +259,17 @@ def enumerate_cycles(
                     out = g.hops_by_neighbor(nb)
                     small, large = (around, out) if len(around) < len(out) else (out, around)
                     last = [
-                        (nb2, d2, c ^ 1)
+                        (nb2, array(typecode, (d2, c ^ 1)))
                         for nb2 in small
                         if nb2 in large and nb2 != v
                         for d2 in out[nb2]
                         for c in around[nb2]
                     ]
                     last_at[nb] = last
-                for nb2, d2, c in last:
+                for nb2, tail in last:
                     if nb2 not in on_path:
                         last_row += path
-                        last_row.append(d2)
-                        last_row.append(c)
+                        last_row += tail
             path.pop()
 
     extend(v, max_len - 2)

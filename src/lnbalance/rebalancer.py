@@ -593,6 +593,31 @@ def _check_executed(g: NetworkGraph, hops: Hops, table: RunTable, before: Mappin
             raise InvariantViolation(f"node {x} Gini increased")
 
 
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle `x` in place exactly as `rng.shuffle(x)` does, and advance `rng` as it would.
+
+    CPython's `Random.shuffle` is the backward Fisher-Yates shuffle: for i
+    from len(x) - 1 down to 1 it swaps x[i] with x[j], j = `_randbelow`(i + 1),
+    which draws `getrandbits(k)`, k = (i + 1).bit_length(), until the draw
+    is at most i.  This is that loop with the draw written inline, since a
+    visit shuffles every index of its key's cycles and the method call per
+    index was most of the shuffle's time.  k changes only where i + 1 is a
+    power of two, so the indices are taken in blocks of equal k.
+    """
+    getrandbits = rng.getrandbits
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        # the indices from `top` down to `low` all draw k bits
+        low = (1 << (k - 1)) - 1
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = low - 1
+
+
 def run_simulation(
     g: NetworkGraph,
     config: SimulationConfig,
@@ -606,10 +631,11 @@ def run_simulation(
     by `mpp_divisor` when the strategy splits amounts), and works through
     its cycle candidates in seeded-shuffled order until one executes.  The
     candidates of a (node, channel) are enumerated at its first visit and
-    cached for the run as a `CycleRows`; a visit shuffles their indices,
-    which draws as shuffling the candidates would.  When the proposal
-    is below `min_amount`, no cycle is tried; the shuffle still runs, so
-    the random stream is the same.
+    cached for the run as a `CycleRows`; a visit shuffles their indices
+    with `_shuffle`, which permutes and draws exactly as `rng.shuffle` of
+    the candidates would, and so does each sweep's node order.  When the
+    proposal is below `min_amount`, no cycle is tried; the shuffle still
+    runs, so the random stream is the same.
 
     Every run builds one `RunTable` at its start and never writes to it;
     the kernel has it refreshed after each payment.  A visit reads the
@@ -658,7 +684,7 @@ def run_simulation(
     ops = 0
     while ops < config.max_operations:
         order = nodes[:]
-        rng.shuffle(order)
+        _shuffle(rng, order)
         swept = ops
         for u in order:
             if ops >= config.max_operations:
@@ -676,7 +702,7 @@ def run_simulation(
             if not cyc:
                 continue
             tries = list(range(len(cyc)))
-            rng.shuffle(tries)
+            _shuffle(rng, tries)
             # u proposes once per visit: a declined attempt moves no balance
             amount = desired_amount(g, u, cid, totals[u]) // divisor
             if amount < config.min_amount:

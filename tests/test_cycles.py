@@ -248,6 +248,32 @@ class TestBruteForceEquivalence:
             assert {s for s, _, _ in c} <= allowed
             assert len(c) <= 6
 
+    def test_last_steps_skip_nodes_on_the_path(self):
+        # a wheel: hub 0 on every spoke, rim 1-2-3-4-5-1, a chord 2-5 and a
+        # parallel rim channel 3-4.  Every rim node neighbours the hub, so the
+        # walk's last steps from a rim node go to any rim neighbour but the
+        # peer 1, and some of those are already on the path: after 1, 2, 3,
+        # the last steps of 3 lead to 2 (on the path) and to 4 over either
+        # parallel channel, and after 1, 4, 3 to 2 and to 4 (on the path).
+        # Each node's last steps are listed once per call, so the same list
+        # is filtered under both paths.
+        rim = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (2, 5), (3, 4)]
+        g = make_graph([(0, n, 10, 5) for n in range(1, 6)] + [(a, b, 10, 5) for a, b in rim])
+        around = {nb for _, nb in g.incident(0)}
+
+        def skipped(path, hops_left):
+            # last steps on the path from the simple paths 0, 1, ... that
+            # end `hops_left` hops before the initiator
+            if hops_left == 2:
+                return sum(nb in path for _, nb in g.incident(path[-1]) if nb in around and nb != 1)
+            return sum(
+                skipped(path + [nb], hops_left - 1) for _, nb in g.incident(path[-1]) if nb not in path
+            )
+
+        for strategy, max_len in ((Strategy.CYCLE5, 5), (Strategy.FOAF, 6)):
+            assert skipped([0, 1], max_len - 1) > 0, strategy
+            assert_matches_ordered_oracle(g, 0, 0, (strategy,))
+
 
 class TestCycleRows:
     """`enumerate_cycles` returns a read-only sequence that acts as the list of its hop tuples."""
@@ -266,12 +292,38 @@ class TestCycleRows:
         assert list(cycles) == expected
         assert all(type(c) is tuple and all(type(h) is tuple for h in c) for c in cycles)
 
-    def test_foaf_rows_of_every_stride(self):
+    @staticmethod
+    def seven_clique():
         # a seven-clique with a parallel first channel has foaf cycles of 2 to 6
         # hops, so the hop tuples come from rows of every stride, 1 to 5
-        g = make_graph([(0, 1, 10, 5)] + [(i, j, 10, 5) for i in range(7) for j in range(i + 1, 7)])
+        return make_graph([(0, 1, 10, 5)] + [(i, j, 10, 5) for i in range(7) for j in range(i + 1, 7)])
+
+    def test_foaf_rows_of_every_stride(self):
+        g = self.seven_clique()
         assert {len(c) for c in enumerate_cycles(g, 0, 0, Strategy.FOAF, cap=10_000)} == {2, 3, 4, 5, 6}
         assert_matches_ordered_oracle(g, 0, 0, (Strategy.FOAF, Strategy.MPP))
+
+    def test_first_reaching_finds_the_row_of_each_end_of_every_row(self):
+        g = self.seven_clique()
+        cycles = enumerate_cycles(g, 0, 0, Strategy.FOAF, cap=10_000)
+        size = 2 * g.num_channels()
+        # no entry is 0, so every cycle's cap is the least entry it reads
+        mid = [1 + (7 * d) % 23 for d in range(size)]
+        last = [1 + (11 * d) % 29 for d in range(size)]
+        lengths = [len(c) for c in cycles]
+        assert sorted(set(lengths)) == [2, 3, 4, 5, 6]
+        # the first and the last index of each row, one row per cycle length
+        ends = {i for n in set(lengths) for i in (lengths.index(n), len(lengths) - 1 - lengths[::-1].index(n))}
+        for i in sorted(ends):
+            ids = [g.hop_id(sender, c) for sender, _, c in cycles[i][1:]]
+            cap = min([mid[d] for d in ids[:-1]] + [last[ids[-1]]])
+            assert cycles.first_reaching([i], mid, last) == (i, cap), i
+        for i in (-1, -len(cycles), len(cycles), len(cycles) + 7):
+            with pytest.raises(IndexError):
+                cycles.first_reaching([i], mid, last)
+        empty = enumerate_cycles(make_graph([(0, 1, 10, 5), (1, 2, 10, 5)]), 0, 0, Strategy.FOAF, cap=10)
+        with pytest.raises(IndexError):
+            empty.first_reaching([0], mid, last)
 
     def test_index_past_either_end_raises(self):
         cycles, _ = self.cycles_and_list()

@@ -1062,6 +1062,47 @@ class TestSimulationConfig:
             SimulationConfig(seed=1, strategy="foaf", agreement_mode="nope")
 
 
+# every size to 300, and each side of every power of two up to 2^13, where
+# the number of bits a draw takes changes
+SHUFFLE_SIZES = sorted(
+    set(range(301)) | {2**k + d for k in range(1, 14) for d in (-1, 0, 1)} | {1_750, 5_000}
+)
+
+
+class TestShuffle:
+    """`rebalancer._shuffle` is `random.Random.shuffle` with its draw inline: same permutation, same stream."""
+
+    @staticmethod
+    def advanced(seed):
+        # an odd number of 32-bit draws, so no shuffle starts at the
+        # beginning of a pair of words
+        rng = random.Random(seed)
+        for _ in range(2 * seed + 1):
+            rng.getrandbits(32)
+        return rng
+
+    def test_matches_the_stdlib_shuffle(self):
+        for seed in range(30):
+            for n in SHUFFLE_SIZES:
+                expected, got = list(range(n)), list(range(n))
+                stdlib, inline = self.advanced(seed), self.advanced(seed)
+                stdlib.shuffle(expected)
+                rebalancer._shuffle(inline, got)
+                assert got == expected, (seed, n)
+                assert inline.getstate() == stdlib.getstate(), (seed, n)
+
+    def test_shuffles_items_of_any_type(self):
+        for seed in range(30):
+            for n in (0, 1, 2, 3, 17, 64, 65, 300):
+                items = [(str(i), None, float(i)) for i in range(n)]
+                expected, got = items[:], items[:]
+                stdlib, inline = self.advanced(seed), self.advanced(seed)
+                stdlib.shuffle(expected)
+                rebalancer._shuffle(inline, got)
+                assert got == expected, (seed, n)
+                assert inline.getstate() == stdlib.getstate(), (seed, n)
+
+
 def reference_simulation(g, config):
     """Deliberately naive `run_simulation`: same RNG calls, nothing cached.
 
